@@ -17,9 +17,10 @@
 //     allocates nothing after warmup.
 //   - Apply: every (tenant, process) Proc owns a bounded FIFO apply
 //     queue drained by one dedicated worker goroutine, the only
-//     goroutine that ever touches the proc's analysis state (no lock on
-//     the apply path). Frames from one stream are enqueued in decode
-//     order onto one queue, so per-stream frame order — the only
+//     goroutine that ever mutates the proc's analysis state; it takes
+//     the proc's mutex once per item, uncontended except while a reader
+//     rebuilds a stale snapshot. Frames from one stream are enqueued in
+//     decode order onto one queue, so per-stream frame order — the only
 //     ordering invariant — is preserved exactly; N procs apply on N
 //     cores.
 //
@@ -29,19 +30,21 @@
 // HTTP endpoint — are unaffected. Per-proc stall counts and queue depths
 // are exported at /metrics.
 //
-// Snapshots never take an apply-path lock. The worker publishes an
-// immutable Snapshot (report, spans, clock) through an atomic pointer
-// when it dequeues a snapshot request; readers either get the published
-// snapshot immediately (bounded staleness, see Proc.Published) or wait
-// for the worker to reach their request in queue order (exact, see
-// Proc.Report). Staleness is bounded by the snapshot max-age plus one
-// queue drain; an apply worker is never blocked by a reader — the only
-// snapshot cost it pays is building a report when one is requested and
-// the published one has expired.
+// Snapshots are immutable Snapshot values (report, spans, clock, and the
+// report's JSON, encoded once on first serve) published through an
+// atomic pointer. A reader gets the published snapshot without any lock
+// when it is exact or within the staleness bound (Proc.Published). When
+// it has expired, the reader rebuilds it on its own goroutine under the
+// proc's apply mutex, which the worker holds for one item at a time — so
+// a stale rebuild waits for at most one item, never for the queue. An
+// exact snapshot (Proc.Report, &fresh=1) instead enqueues a marker and
+// waits for the worker to reach it in queue order, which makes it a
+// barrier on everything enqueued before the request.
 package agg
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -133,8 +136,8 @@ const (
 	itemSync     = 0xFF
 )
 
-// Snapshot is an immutable published view of one proc, built by its
-// apply worker at a queue boundary. Readers share it without locks.
+// Snapshot is an immutable published view of one proc, built between
+// two applied items. Readers share it without locks.
 type Snapshot struct {
 	Report diag.Report
 	Spans  []spanEvent
@@ -146,11 +149,30 @@ type Snapshot struct {
 	seq int64
 	// at is the wall-clock build time, for the staleness bound.
 	at time.Time
+
+	// json caches Report's encoding; every /snapshot served from this
+	// snapshot writes the same bytes.
+	jsonOnce sync.Once
+	json     []byte
+	jsonErr  error
 }
 
-// Proc is the aggregation state of one (tenant, process) pair. All
-// analysis state below the queue is owned exclusively by the proc's
-// apply worker; everything readers touch is atomic or immutable.
+// JSON returns the report encoded exactly as diag.Report.JSON writes it.
+// The encoding runs once per snapshot; callers must not modify the
+// returned bytes.
+func (s *Snapshot) JSON() ([]byte, error) {
+	s.jsonOnce.Do(func() {
+		var buf bytes.Buffer
+		s.jsonErr = s.Report.JSON(&buf)
+		s.json = buf.Bytes()
+	})
+	return s.json, s.jsonErr
+}
+
+// Proc is the aggregation state of one (tenant, process) pair. The apply
+// worker is the only writer of the analysis state below the queue; a
+// reader rebuilding a snapshot reads it under mu, and everything else
+// readers touch is atomic or immutable.
 type Proc struct {
 	Tenant   string
 	Process  string
@@ -159,7 +181,11 @@ type Proc struct {
 	g     *Aggregator
 	queue chan *applyItem
 
-	// Worker-owned analysis state (no mutex: single-writer by design).
+	// mu guards the analysis state below. The apply worker holds it for
+	// one item at a time; a reader rebuilding an expired snapshot
+	// (Published) holds it for one report build. The worker is the only
+	// writer.
+	mu    sync.Mutex
 	plat  *machine.Platform
 	table *shadow.Table
 	tsink *record.TableSink
@@ -242,10 +268,12 @@ func (p *Proc) enqueue(it *applyItem) {
 func (p *Proc) run() {
 	defer close(p.exited)
 	for it := range p.queue {
+		p.mu.Lock()
 		p.apply(it)
 		if it.kind < itemSnapshot {
 			p.app.Add(1)
 		}
+		p.mu.Unlock()
 		p.g.recycle(it)
 	}
 }
@@ -321,7 +349,7 @@ func (p *Proc) apply(it *applyItem) {
 	}
 }
 
-// publish builds and publishes a fresh snapshot. Worker context only.
+// publish builds and publishes a fresh snapshot; the caller holds p.mu.
 func (p *Proc) publish() *Snapshot {
 	s := &Snapshot{
 		Report: p.buildReport(),
@@ -338,8 +366,8 @@ func (p *Proc) publish() *Snapshot {
 // buildReport assembles the proc's current diag.Report (the same
 // summaries, findings, heat map, and pattern blocks `xplacer -json`
 // would emit for the equivalent in-process run; kernel attribution needs
-// the client's timeline and is not available remotely). Worker context
-// only — or after Close, when the worker has exited.
+// the client's timeline and is not available remotely). The caller holds
+// p.mu.
 func (p *Proc) buildReport() diag.Report {
 	r := diag.Report{Title: p.Key()}
 	entries := p.table.Entries()
@@ -358,9 +386,11 @@ func (p *Proc) buildReport() diag.Report {
 // call. The wait is bounded by one queue drain plus one report build.
 func (p *Proc) fresh() *Snapshot {
 	if p.g.closed.Load() {
-		// The worker has exited (Close drained the queue); nothing else
-		// can be mutating, so building in the caller is race-free.
+		// The worker has exited (Close drained the queue): build in the
+		// caller.
 		<-p.exited
+		p.mu.Lock()
+		defer p.mu.Unlock()
 		return p.publish()
 	}
 	snapc := make(chan *Snapshot, 1)
@@ -381,22 +411,38 @@ func (p *Proc) Report() diag.Report {
 
 // Published returns a snapshot at most maxAge stale: the published one
 // if it already reflects everything enqueued (exact) or was built within
-// maxAge; otherwise it requests a rebuild and waits (bounded by one
-// queue drain plus one report build). This is the HTTP surface's path —
-// apply workers are never blocked by readers, and build cost is paid at
-// most once per maxAge per proc under sustained polling.
+// maxAge; otherwise the caller rebuilds it under p.mu, waiting for at
+// most the one item the worker is applying plus one report build. The
+// rebuilt snapshot reflects every item applied so far, not necessarily
+// every item enqueued. This is the HTTP surface's path: build cost is
+// paid at most once per maxAge per proc under sustained polling, since
+// readers queued on p.mu behind a rebuild serve its result.
 func (p *Proc) Published(maxAge time.Duration) *Snapshot {
-	if s := p.pub.Load(); s != nil {
-		if s.seq == p.enq.Load() {
-			p.g.snapshotHits.Add(1)
-			return s // exact: nothing state-changing since the build
-		}
-		if maxAge > 0 && time.Since(s.at) < maxAge {
-			p.g.snapshotHits.Add(1)
-			return s // stale, within the documented bound
-		}
+	if s := p.servable(maxAge); s != nil {
+		return s
 	}
-	return p.fresh()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if s := p.servable(maxAge); s != nil {
+		return s // another reader rebuilt it while this one waited
+	}
+	return p.publish()
+}
+
+// servable returns the published snapshot if Published may serve it
+// as-is, counting the hit, or nil.
+func (p *Proc) servable(maxAge time.Duration) *Snapshot {
+	s := p.pub.Load()
+	if s == nil {
+		return nil
+	}
+	// Exact (nothing state-changing since the build), or stale within the
+	// documented bound.
+	if s.seq == p.enq.Load() || (maxAge > 0 && time.Since(s.at) < maxAge) {
+		p.g.snapshotHits.Add(1)
+		return s
+	}
+	return nil
 }
 
 // Stats returns the proc's ingest totals: applied batches and records,
@@ -688,7 +734,7 @@ func (g *Aggregator) Totals() (streams, active, batches, records, bytes, crcErrs
 }
 
 // SnapshotStats returns how many snapshot requests were served from the
-// published state versus rebuilt by an apply worker.
+// published state versus rebuilt.
 func (g *Aggregator) SnapshotStats() (served, builds int64) {
 	return g.snapshotHits.Load(), g.snapshotBuilds.Load()
 }

@@ -17,8 +17,9 @@ import (
 //
 // /snapshot and /perfetto serve the proc's published snapshot — at most
 // the aggregator's snapshot max-age stale, exact when ingest is idle —
-// so they never block apply workers. Add &fresh=1 to force an exact
-// snapshot (waits for the apply queue to drain past the request).
+// so they never wait on the apply queue; /snapshot writes the snapshot's
+// cached JSON. Add &fresh=1 to force an exact snapshot (waits for the
+// apply queue to drain past the request).
 // /tenants and /metrics read atomic counters only.
 func (g *Aggregator) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -56,11 +57,13 @@ func (g *Aggregator) serveSnapshot(w http.ResponseWriter, r *http.Request) {
 	if p == nil {
 		return
 	}
-	s := g.snapshotFor(p, r)
-	w.Header().Set("Content-Type", "application/json")
-	if err := s.Report.JSON(w); err != nil {
+	body, err := g.snapshotFor(p, r).JSON()
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(body)
 }
 
 // tenantEntry is one /tenants row.
@@ -151,7 +154,7 @@ func (g *Aggregator) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "# HELP xplagg_checksum_errors_total Segments failing CRC.\n# TYPE xplagg_checksum_errors_total counter\nxplagg_checksum_errors_total %d\n", crcErrs)
 	fmt.Fprintf(w, "# HELP xplagg_decode_errors_total Streams failing to decode.\n# TYPE xplagg_decode_errors_total counter\nxplagg_decode_errors_total %d\n", decodeErrs)
 	fmt.Fprintf(w, "# HELP xplagg_snapshots_served_total Snapshot requests served from the published state.\n# TYPE xplagg_snapshots_served_total counter\nxplagg_snapshots_served_total %d\n", served)
-	fmt.Fprintf(w, "# HELP xplagg_snapshot_builds_total Snapshot rebuilds performed by apply workers.\n# TYPE xplagg_snapshot_builds_total counter\nxplagg_snapshot_builds_total %d\n", builds)
+	fmt.Fprintf(w, "# HELP xplagg_snapshot_builds_total Snapshot rebuilds performed.\n# TYPE xplagg_snapshot_builds_total counter\nxplagg_snapshot_builds_total %d\n", builds)
 	fmt.Fprintf(w, "# HELP xplagg_proc_records_total Access records applied per process.\n# TYPE xplagg_proc_records_total counter\n")
 	for _, p := range g.Procs() {
 		pb, pr, _, dropped := p.Stats()

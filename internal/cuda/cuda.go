@@ -116,12 +116,15 @@ type hostWindow struct {
 // accessCapture accumulates one span's per-allocation, per-page access
 // totals for the what-if trace (timeline.Event.Accessed). The last-entry
 // cursor keeps the common sequential-stream case to one compare and two
-// adds; the maps are only consulted on page or allocation transitions.
+// adds; on page or allocation transitions the position is found in dense
+// slices indexed by allocation ID and by allocation-relative page. Pages
+// still append in first-touch order, which is the order the timeline
+// records.
 type accessCapture struct {
 	accessed []timeline.AllocAccess
-	byAlloc  map[int]int     // alloc ID -> index into accessed
-	pages    []map[int32]int // parallel to accessed: page -> index into Pages
-	lastKey  int64           // (allocID+1)<<32 | page of the cursor
+	byAlloc  []int32   // alloc ID -> 1 + index into accessed; 0 = untouched
+	pages    [][]int32 // parallel to accessed: page -> 1 + index into Pages; 0 = untouched
+	lastKey  int64     // (allocID+1)<<32 | page of the cursor
 	lastPA   *timeline.PageAccess
 }
 
@@ -129,20 +132,25 @@ func (ac *accessCapture) note(allocID int, page int32, words int64, write bool) 
 	key := int64(allocID+1)<<32 | int64(uint32(page))
 	pa := ac.lastPA
 	if pa == nil || ac.lastKey != key {
-		ai, ok := ac.byAlloc[allocID]
-		if !ok {
-			if ac.byAlloc == nil {
-				ac.byAlloc = make(map[int]int)
-			}
-			ai = len(ac.accessed)
-			ac.byAlloc[allocID] = ai
-			ac.accessed = append(ac.accessed, timeline.AllocAccess{AllocID: allocID})
-			ac.pages = append(ac.pages, make(map[int32]int))
+		if allocID >= len(ac.byAlloc) {
+			ac.byAlloc = append(ac.byAlloc, make([]int32, allocID+1-len(ac.byAlloc))...)
 		}
-		pi, ok := ac.pages[ai][page]
-		if !ok {
+		ai := int(ac.byAlloc[allocID]) - 1
+		if ai < 0 {
+			ai = len(ac.accessed)
+			ac.byAlloc[allocID] = int32(ai + 1)
+			ac.accessed = append(ac.accessed, timeline.AllocAccess{AllocID: allocID})
+			ac.pages = append(ac.pages, nil)
+		}
+		pages := ac.pages[ai]
+		if int(page) >= len(pages) {
+			pages = append(pages, make([]int32, int(page)+1-len(pages))...)
+			ac.pages[ai] = pages
+		}
+		pi := int(pages[page]) - 1
+		if pi < 0 {
 			pi = len(ac.accessed[ai].Pages)
-			ac.pages[ai][page] = pi
+			pages[page] = int32(pi + 1)
 			ac.accessed[ai].Pages = append(ac.accessed[ai].Pages, timeline.PageAccess{Page: page})
 		}
 		pa = &ac.accessed[ai].Pages[pi]

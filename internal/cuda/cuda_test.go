@@ -1,6 +1,8 @@
 package cuda
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"xplacer/internal/machine"
@@ -523,5 +525,50 @@ func TestTimelineEvents(t *testing.T) {
 	}
 	if host.End() > k.Start {
 		t.Errorf("host window [%v,%v] not before kernel start %v", host.Start, host.End(), k.Start)
+	}
+}
+
+// TestAccessCaptureMatchesMapReference feeds random page notes to the
+// dense what-if capture and to a map-keyed reference with the original
+// first-touch bookkeeping: allocations and pages must come out in the
+// same order with the same totals.
+func TestAccessCaptureMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var ac accessCapture
+	var ref []timeline.AllocAccess
+	byAlloc := map[int]int{}
+	pages := []map[int32]int{}
+	for i := 0; i < 20000; i++ {
+		id := rng.Intn(12)
+		page := int32(rng.Intn(300))
+		if rng.Intn(4) != 0 && len(ref) > 0 { // mostly sequential streams
+			page = int32(i/50) % 300
+		}
+		words, write := int64(1+rng.Intn(4)), rng.Intn(3) == 0
+		ac.note(id, page, words, write)
+
+		ai, ok := byAlloc[id]
+		if !ok {
+			ai = len(ref)
+			byAlloc[id] = ai
+			ref = append(ref, timeline.AllocAccess{AllocID: id})
+			pages = append(pages, map[int32]int{})
+		}
+		pi, ok := pages[ai][page]
+		if !ok {
+			pi = len(ref[ai].Pages)
+			pages[ai][page] = pi
+			ref[ai].Pages = append(ref[ai].Pages, timeline.PageAccess{Page: page})
+		}
+		pa := &ref[ai].Pages[pi]
+		pa.Accesses++
+		if write {
+			pa.Writes += words
+		} else {
+			pa.Reads += words
+		}
+	}
+	if !reflect.DeepEqual(ac.accessed, ref) {
+		t.Fatal("dense capture differs from the map-keyed reference")
 	}
 }

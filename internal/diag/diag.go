@@ -66,24 +66,46 @@ func Summarize(e *shadow.Entry) AllocSummary {
 	if s.Label == "" {
 		s.Label = fmt.Sprintf("alloc#%d", e.AllocID)
 	}
-	for _, b := range e.Shadow {
+	// Count each shadow byte value, then fold the 256 counts into the
+	// per-flag totals: one increment per word instead of six branches.
+	// Four histograms take successive bytes in turn, because shadow memory
+	// holds long runs of one value and a single histogram would make each
+	// increment wait on the previous store to the same counter.
+	var hist [4][256]int
+	sh := e.Shadow
+	i := 0
+	for ; i+4 <= len(sh); i += 4 {
+		hist[0][sh[i]]++
+		hist[1][sh[i+1]]++
+		hist[2][sh[i+2]]++
+		hist[3][sh[i+3]]++
+	}
+	for ; i < len(sh); i++ {
+		hist[0][sh[i]]++
+	}
+	for v := range hist[0] {
+		n := hist[0][v] + hist[1][v] + hist[2][v] + hist[3][v]
+		if n == 0 {
+			continue
+		}
+		b := byte(v)
 		if b&shadow.CPUWrote != 0 {
-			s.WriteC++
+			s.WriteC += n
 		}
 		if b&shadow.GPUWrote != 0 {
-			s.WriteG++
+			s.WriteG += n
 		}
 		if b&shadow.ReadCC != 0 {
-			s.ReadCC++
+			s.ReadCC += n
 		}
 		if b&shadow.ReadCG != 0 {
-			s.ReadCG++
+			s.ReadCG += n
 		}
 		if b&shadow.ReadGC != 0 {
-			s.ReadGC++
+			s.ReadGC += n
 		}
 		if b&shadow.ReadGG != 0 {
-			s.ReadGG++
+			s.ReadGG += n
 		}
 	}
 	s.TouchedWords, s.DensityPct = detect.Density(e)

@@ -107,9 +107,19 @@ func HeatRow(counts []uint32, width int) string {
 	if n < width {
 		width = n
 	}
+	// Word i falls in bucket i*width/n, so bucket b holds the words
+	// [ceil(b*n/width), ceil((b+1)*n/width)): sum each range directly
+	// instead of dividing per word.
 	buckets := make([]uint64, width)
-	for i, c := range counts {
-		buckets[i*width/n] += uint64(c)
+	start := 0
+	for b := range buckets {
+		end := ((b+1)*n + width - 1) / width
+		var sum uint64
+		for _, c := range counts[start:end] {
+			sum += uint64(c)
+		}
+		buckets[b] = sum
+		start = end
 	}
 	var max uint64
 	for _, b := range buckets {

@@ -30,8 +30,18 @@ type SpanInfo struct {
 	Start machine.Duration
 }
 
-// streamKey identifies a stream; pointer identity of the shadow entry is
-// what the table-backed sinks use too.
+// streamSlot is one shadow entry's streams in the newest span it was
+// accessed in. Apply only ever attributes to the current span, so a slot
+// whose span is older is simply restarted; older spans' streams live on
+// in Sink.order only.
+type streamSlot struct {
+	span int
+	devs [machine.NumDevices]*Stream
+}
+
+// streamKey identifies a stream of a device outside machine's device
+// range, which only a malformed wire stream produces; such streams are
+// kept in a map beside the dense slots.
 type streamKey struct {
 	span int
 	e    *shadow.Entry
@@ -42,26 +52,28 @@ type streamKey struct {
 // Trackers. It implements record.Sink and rides the engine's existing
 // drain path: scalar batches cost one delta update per access, RLE range
 // records one O(1) NoteRun per record — zero new work on the per-access
-// hot path. Apply runs under the engine lock; BeginSpan and the report
-// accessors must be called inside Engine.Locked or with recording
-// quiescent.
+// hot path. Records the engine's table pass already resolved
+// (record.Cursor.Resolved) are not looked up again, and per-entry stream
+// state lives in slots indexed by shadow.Entry.Index. Apply runs under
+// the engine lock; BeginSpan and the report accessors must be called
+// inside Engine.Locked or with recording quiescent.
 type Sink struct {
-	table   *shadow.Table
-	last    *shadow.Entry // find cache, independent of the engine cursor
-	cur     *Stream       // stream cursor: the common same-stream case is one compare
-	streams map[streamKey]*Stream
-	order   []*Stream
-	spans   []SpanInfo
-	now     func() machine.Duration
+	table *shadow.Table
+	last  *shadow.Entry // find cache for records the cursor does not pin
+	cur   *Stream       // stream cursor: the common same-stream case is one compare
+	slots []streamSlot  // by shadow.Entry.Index
+	odd   map[streamKey]*Stream
+	order []*Stream
+	spans []SpanInfo
+	now   func() machine.Duration
 }
 
 // NewSink observes accesses resolved against t, starting in span 0 (the
 // pre-first-kernel window).
 func NewSink(t *shadow.Table) *Sink {
 	return &Sink{
-		table:   t,
-		streams: map[streamKey]*Stream{},
-		spans:   []SpanInfo{{Seq: 0, Name: "(start)"}},
+		table: t,
+		spans: []SpanInfo{{Seq: 0, Name: "(start)"}},
 	}
 }
 
@@ -84,42 +96,58 @@ func (s *Sink) BeginSpan(name string) {
 }
 
 // Apply implements record.Sink.
-func (s *Sink) Apply(batch []shadow.Access, _ *record.Cursor) {
+func (s *Sink) Apply(batch []shadow.Access, cur *record.Cursor) {
 	span := len(s.spans) - 1
+	res := cur.Resolved(s.table, len(batch))
 	for i := range batch {
 		a := &batch[i]
+		var e *shadow.Entry
+		if res != nil {
+			e = res[i]
+		}
 		if a.Count > 1 {
-			s.applyRange(a, span)
+			s.applyRange(a, span, e)
 			continue
 		}
-		e := s.last
-		if e == nil || e.Freed || !e.Contains(a.Addr) {
-			e = s.table.Find(a.Addr)
-			if e == nil {
+		if e == nil {
+			if e = s.find(a.Addr); e == nil {
 				continue // untracked: the TableSink tallies these
 			}
-			s.last = e
 		}
 		s.streamOf(span, e, a.Dev).Tracker.Note(a.Addr, int64(a.Size))
 	}
 }
 
+// find resolves addr through the sink's own last-entry cache and the
+// table; nil when addr is untracked.
+func (s *Sink) find(addr memsim.Addr) *shadow.Entry {
+	e := s.last
+	if e == nil || e.Freed || !e.Contains(addr) {
+		if e = s.table.Find(addr); e != nil {
+			s.last = e
+		}
+	}
+	return e
+}
+
 // applyRange folds one run-length-encoded sweep, split at entry
-// boundaries exactly like the other table-backed sinks.
-func (s *Sink) applyRange(a *shadow.Access, span int) {
+// boundaries exactly like the other table-backed sinks. pinned, when
+// non-nil, is the entry holding every element start (resolved by the
+// table pass), so the run folds whole without a lookup.
+func (s *Sink) applyRange(a *shadow.Access, span int, pinned *shadow.Entry) {
 	count := int(a.Count)
 	stride := int64(a.Stride)
+	if pinned != nil {
+		s.streamOf(span, pinned, a.Dev).Tracker.NoteRun(a.Addr, count, stride, int64(a.Size))
+		return
+	}
 	addr := a.Addr
 	for k := 0; k < count; {
-		e := s.last
-		if e == nil || e.Freed || !e.Contains(addr) {
-			e = s.table.Find(addr)
-			if e == nil {
-				k++ // untracked element: the TableSink tallies these
-				addr += memsim.Addr(stride)
-				continue
-			}
-			s.last = e
+		e := s.find(addr)
+		if e == nil {
+			k++ // untracked element: the TableSink tallies these
+			addr += memsim.Addr(stride)
+			continue
 		}
 		run := count - k
 		if stride > 0 {
@@ -134,19 +162,42 @@ func (s *Sink) applyRange(a *shadow.Access, span int) {
 	}
 }
 
-// streamOf returns (creating on first touch) the stream for a key.
+// streamOf returns (creating on first touch) the stream of (span, e, dev).
 func (s *Sink) streamOf(span int, e *shadow.Entry, dev machine.Device) *Stream {
 	if c := s.cur; c != nil && c.Span == span && c.Entry == e && c.Dev == dev {
 		return c
 	}
-	k := streamKey{span: span, e: e, dev: dev}
-	st := s.streams[k]
-	if st == nil {
-		st = &Stream{Span: span, Entry: e, Dev: dev}
-		s.streams[k] = st
-		s.order = append(s.order, st)
+	var st *Stream
+	if dev < machine.NumDevices {
+		i := e.Index()
+		if i >= len(s.slots) {
+			s.slots = append(s.slots, make([]streamSlot, i+1-len(s.slots))...)
+		}
+		sl := &s.slots[i]
+		if sl.span != span {
+			*sl = streamSlot{span: span}
+		}
+		if st = sl.devs[dev]; st == nil {
+			st = s.newStream(span, e, dev)
+			sl.devs[dev] = st
+		}
+	} else {
+		k := streamKey{span: span, e: e, dev: dev}
+		if st = s.odd[k]; st == nil {
+			if s.odd == nil {
+				s.odd = map[streamKey]*Stream{}
+			}
+			st = s.newStream(span, e, dev)
+			s.odd[k] = st
+		}
 	}
 	s.cur = st
+	return st
+}
+
+func (s *Sink) newStream(span int, e *shadow.Entry, dev machine.Device) *Stream {
+	st := &Stream{Span: span, Entry: e, Dev: dev}
+	s.order = append(s.order, st)
 	return st
 }
 

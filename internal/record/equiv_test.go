@@ -9,6 +9,7 @@ package record_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -543,6 +544,226 @@ func testConcurrentInterleaved(t *testing.T, seed int64) {
 		if rv != gv {
 			t.Errorf("pattern stream %+v differs: sequential %+v, concurrent %+v", k, rv, gv)
 		}
+	}
+}
+
+// batchCapture copies every batch the engine drains, so the same batches
+// can be replayed through standalone sinks.
+type batchCapture struct{ batches [][]shadow.Access }
+
+func (c *batchCapture) Apply(batch []shadow.Access, _ *record.Cursor) {
+	c.batches = append(c.batches, append([]shadow.Access(nil), batch...))
+}
+
+// mutation is a table or span change applied between two drained batches.
+type mutation struct {
+	after  int // number of batches drained before it
+	free   int // entry slot to free and re-insert at the same base; -1: none
+	span   string
+	rename bool
+}
+
+// TestResolveOnceMatchesStandalone drives random batches through an engine
+// whose heat-map and pattern sinks read the table pass's resolution from
+// the engine cursor, captures the drained batches, and replays them into
+// a second table, heat map and pattern sink driven with a nil cursor (the
+// self-resolving standalone path). Heat maps, pattern rows and shadow
+// bytes must be identical. The stream mixes scalars, runs crossing entry
+// boundaries (the entries are adjacent), untracked addresses, entries
+// freed and re-inserted at the same base, and span changes between
+// batches.
+func TestResolveOnceMatchesStandalone(t *testing.T) {
+	for _, seed := range []int64{3, 17, 20261017} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			testResolveOnce(t, seed)
+		})
+	}
+}
+
+func testResolveOnce(t *testing.T, seed int64) {
+	const (
+		numAllocs = 4
+		numOps    = 4000
+		elemSize  = 8
+	)
+	rng := rand.New(rand.NewSource(seed))
+	sizes := make([]int64, numAllocs)
+	bases := make([]memsim.Addr, numAllocs)
+	next := memsim.Addr(0x10000)
+	for i := range sizes {
+		sizes[i] = elemSize * int64(32+rng.Intn(400))
+		bases[i] = next
+		next += memsim.Addr(sizes[i]) // adjacent: runs cross into the next entry
+	}
+	insert := func(tb *shadow.Table, slot, id int) {
+		a := &memsim.Alloc{ID: id, Base: bases[slot], Size: sizes[slot], Kind: memsim.Managed, Label: fmt.Sprintf("a%d.%d", slot, id)}
+		if _, err := tb.Insert(a, "test"); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	table := shadow.NewTable()
+	eng := record.NewEngine(record.NewTableSink(table))
+	hm := record.NewHeatmapSink(table)
+	ps := pattern.NewSink(table)
+	capt := &batchCapture{}
+	eng.AddSink(hm)
+	eng.AddSink(ps)
+	eng.AddSink(capt)
+	ids := make([]int, numAllocs)
+	for i := range ids {
+		ids[i] = i
+		insert(table, i, i)
+	}
+	nextID := numAllocs
+
+	var muts []mutation
+	for i := 0; i < numOps; i++ {
+		dev := machine.Device(rng.Intn(int(machine.NumDevices)))
+		kind := memsim.AccessKind(rng.Intn(3))
+		slot := rng.Intn(numAllocs)
+		off := memsim.Addr(elemSize * rng.Int63n(sizes[slot]/elemSize))
+		addr := bases[slot] + off
+		switch r := rng.Intn(16); {
+		case r == 0:
+			addr = memsim.Addr(0x100 + 8*rng.Intn(64)) // untracked
+			eng.Record(dev, addr, elemSize, kind)
+		case r < 4:
+			// Strided or contiguous runs, long enough to cross into the
+			// next entry or past the last one into untracked space.
+			stride := int64(elemSize * (1 + rng.Intn(3)))
+			eng.RecordRange(dev, addr, 2+rng.Intn(120), stride, elemSize, kind)
+		default:
+			eng.Record(dev, addr, int64(4*(1+rng.Intn(2))), kind)
+		}
+		if rng.Intn(40) != 0 {
+			continue
+		}
+		// A batch boundary, sometimes followed by a table or span change.
+		eng.Flush()
+		m := mutation{after: len(capt.batches), free: -1}
+		switch rng.Intn(3) {
+		case 0:
+			m.free = rng.Intn(numAllocs)
+		case 1:
+			m.span = fmt.Sprintf("k%d", i)
+		default:
+			m.rename = true
+		}
+		eng.Locked(func() { applyMutation(t, table, ps, m, ids, &nextID, insert) })
+		muts = append(muts, m)
+	}
+	eng.Flush()
+
+	// Standalone replay: same batches, same mutations at the same
+	// boundaries, sinks driven with a nil cursor.
+	ref := shadow.NewTable()
+	refSink := record.NewTableSink(ref)
+	refHM := record.NewHeatmapSink(ref)
+	refPS := pattern.NewSink(ref)
+	refIDs := make([]int, numAllocs)
+	for i := range refIDs {
+		refIDs[i] = i
+		insert(ref, i, i)
+	}
+	refNext := numAllocs
+	var cur record.Cursor
+	mi := 0
+	for bi := 0; bi <= len(capt.batches); bi++ {
+		for ; mi < len(muts) && muts[mi].after == bi; mi++ {
+			applyMutation(t, ref, refPS, muts[mi], refIDs, &refNext, insert)
+		}
+		if bi == len(capt.batches) {
+			break
+		}
+		b := capt.batches[bi]
+		refSink.Apply(b, &cur)
+		refHM.Apply(b, nil)
+		refPS.Apply(b, nil)
+	}
+
+	if got, want := table.Entries(), ref.Entries(); len(got) != len(want) {
+		t.Fatalf("entries: %d vs %d", len(got), len(want))
+	} else {
+		for i := range got {
+			if !bytesEqual(got[i].Shadow, want[i].Shadow) {
+				t.Errorf("entry %d shadow differs at word %d", i, firstDiff(want[i].Shadow, got[i].Shadow))
+			}
+		}
+	}
+	gh, rh := hm.Heats(), refHM.Heats()
+	if len(gh) != len(rh) || len(gh) == 0 {
+		t.Fatalf("heats: resolve-once %d, standalone %d", len(gh), len(rh))
+	}
+	for i := range gh {
+		if !reflect.DeepEqual(heatView(gh[i]), heatView(rh[i])) {
+			t.Errorf("heat %d (%s) differs from the standalone path", i, rh[i].Label())
+		}
+	}
+	gr, rr := ps.Rows(), refPS.Rows()
+	if len(rr) == 0 {
+		t.Fatal("no pattern rows")
+	}
+	if !reflect.DeepEqual(gr, rr) {
+		t.Errorf("pattern rows differ:\n  resolve-once %+v\n  standalone   %+v", gr, rr)
+	}
+	if len(muts) == 0 || len(rr) <= numAllocs {
+		t.Errorf("stream exercised %d mutations and %d pattern rows; strengthen the generator", len(muts), len(rr))
+	}
+}
+
+// applyMutation applies one between-batch change to a table and its
+// pattern sink. ids maps entry slots to their current alloc IDs.
+func applyMutation(t *testing.T, tb *shadow.Table, ps *pattern.Sink, m mutation, ids []int, next *int, insert func(*shadow.Table, int, int)) {
+	t.Helper()
+	switch {
+	case m.free >= 0:
+		tb.MarkFreed(ids[m.free])
+		tb.DropFreed()
+		ids[m.free] = *next
+		insert(tb, m.free, *next)
+		*next++
+	case m.span != "":
+		ps.BeginSpan(m.span)
+	case m.rename:
+		for _, e := range tb.Entries() {
+			e.Label += "'"
+		}
+	}
+}
+
+// heatView is the comparable content of a Heat.
+func heatView(h *record.Heat) any {
+	return struct {
+		Label   string
+		Base    memsim.Addr
+		Words   int
+		Counts  [machine.NumDevices][]uint32
+		Totals  [machine.NumDevices]uint64
+		History []record.EpochTotals
+	}{h.Label(), h.Base, h.Words, h.Counts, h.Totals, h.History}
+}
+
+// TestResolveOnceLookups pins the point of the shared resolution: with
+// the table, heat-map and pattern sinks on one engine, the engine path
+// makes at most one Table lookup per drained scalar record, even when two
+// interleaved arrays defeat every sink's last-entry cache.
+func TestResolveOnceLookups(t *testing.T) {
+	table := shadow.NewTable()
+	eng := record.NewEngine(record.NewTableSink(table))
+	eng.AddSink(record.NewHeatmapSink(table))
+	eng.AddSink(pattern.NewSink(table))
+	a, _ := table.InsertRange(0x10000, 4096, "a", memsim.Managed, "test")
+	b, _ := table.InsertRange(0x20000, 4096, "b", memsim.Managed, "test")
+	const n = 1000
+	for i := 0; i < n; i++ {
+		off := memsim.Addr(4 * (i % 1024))
+		eng.Record(machine.CPU, a.Base+off, 4, memsim.Read)
+		eng.Record(machine.GPU, b.Base+off, 4, memsim.Write)
+	}
+	eng.Flush()
+	if got := table.Lookups(); got > 2*n {
+		t.Errorf("%d lookups for %d scalar records, want at most one each", got, 2*n)
 	}
 }
 

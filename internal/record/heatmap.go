@@ -12,8 +12,11 @@ import (
 // access-frequency observability layer the shadow bits alone cannot
 // provide (they saturate after the first access; a heat map shows *how
 // often* each word is touched, CUTHERMO-style). It resolves accesses
-// against the same shadow table the TableSink maintains, so the heat map
-// rows line up word-for-word with the access maps of internal/diag.
+// against the same shadow table the TableSink maintains — reusing the
+// table pass's per-record resolution from the engine cursor when there is
+// one — so the heat map rows line up word-for-word with the access maps
+// of internal/diag. Per-entry state lives in a slice indexed by
+// shadow.Entry.Index.
 //
 // Counts accumulate into the current interval epoch; Rotate closes an
 // epoch (folding its per-device totals into each allocation's History)
@@ -29,8 +32,8 @@ import (
 // timeline.
 type HeatmapSink struct {
 	table *shadow.Table
-	last  *shadow.Entry // find cache, independent of the engine cursor
-	heats map[*shadow.Entry]*Heat
+	last  *shadow.Entry // find cache for records the cursor does not pin
+	heats []*Heat       // by shadow.Entry.Index; nil until first touch
 	order []*Heat
 	epoch int
 
@@ -73,7 +76,7 @@ func (h *Heat) Label() string { return h.entry.Label }
 
 // NewHeatmapSink observes accesses resolved against t.
 func NewHeatmapSink(t *shadow.Table) *HeatmapSink {
-	return &HeatmapSink{table: t, heats: map[*shadow.Entry]*Heat{}}
+	return &HeatmapSink{table: t}
 }
 
 // RotateOnClock makes the sink close an epoch every time the simulated
@@ -96,22 +99,25 @@ func (h *HeatmapSink) RotateOnClock(every machine.Duration, now func() machine.D
 // through the same maybeRotate check before any counting, so a range
 // record draining after the simulated clock crossed a RotateOnClock
 // boundary lands in the epoch containing its drain time and can never
-// leak into the already-closed epoch.
-func (h *HeatmapSink) Apply(batch []shadow.Access, _ *Cursor) {
+// leak into the already-closed epoch. Records the table pass pinned to an
+// entry (cur.Resolved) are counted without a lookup.
+func (h *HeatmapSink) Apply(batch []shadow.Access, cur *Cursor) {
 	h.maybeRotate()
+	res := cur.Resolved(h.table, len(batch))
 	for i := range batch {
 		a := &batch[i]
+		var e *shadow.Entry
+		if res != nil {
+			e = res[i]
+		}
 		if a.Count > 1 {
-			h.applyRange(a)
+			h.applyRange(a, e)
 			continue
 		}
-		e := h.last
-		if e == nil || e.Freed || !e.Contains(a.Addr) {
-			e = h.table.Find(a.Addr)
-			if e == nil {
+		if e == nil {
+			if e = h.find(a.Addr); e == nil {
 				continue // untracked: the TableSink tallies these
 			}
-			h.last = e
 		}
 		ht := h.heatOf(e)
 		d := a.Dev
@@ -128,6 +134,18 @@ func (h *HeatmapSink) Apply(batch []shadow.Access, _ *Cursor) {
 		}
 		ht.Totals[d] += uint64(last - first + 1)
 	}
+}
+
+// find resolves addr through the sink's own last-entry cache and the
+// table; nil when addr is untracked.
+func (h *HeatmapSink) find(addr memsim.Addr) *shadow.Entry {
+	e := h.last
+	if e == nil || e.Freed || !e.Contains(addr) {
+		if e = h.table.Find(addr); e != nil {
+			h.last = e
+		}
+	}
+	return e
 }
 
 // maybeRotate closes epochs the simulated clock has crossed since the
@@ -149,15 +167,20 @@ func (h *HeatmapSink) maybeRotate() {
 
 // heatOf returns (creating on first touch) the heat state for an entry.
 func (h *HeatmapSink) heatOf(e *shadow.Entry) *Heat {
-	ht := h.heats[e]
-	if ht == nil {
-		ht = &Heat{Base: e.Base, Words: e.Words(), entry: e}
-		for d := range ht.Counts {
-			ht.Counts[d] = make([]uint32, ht.Words)
+	i := e.Index()
+	if i < len(h.heats) {
+		if ht := h.heats[i]; ht != nil {
+			return ht
 		}
-		h.heats[e] = ht
-		h.order = append(h.order, ht)
+	} else {
+		h.heats = append(h.heats, make([]*Heat, i+1-len(h.heats))...)
 	}
+	ht := &Heat{Base: e.Base, Words: e.Words(), entry: e}
+	for d := range ht.Counts {
+		ht.Counts[d] = make([]uint32, ht.Words)
+	}
+	h.heats[i] = ht
+	h.order = append(h.order, ht)
 	return ht
 }
 
@@ -166,21 +189,25 @@ func (h *HeatmapSink) heatOf(e *shadow.Entry) *Heat {
 // word-aligned, gapless, non-overlapping elements (stride == size,
 // word-multiple) bumps each covered word once in a single pass; any other
 // shape falls back to counting element by element, exactly as the scalar
-// path would have.
-func (h *HeatmapSink) applyRange(a *shadow.Access) {
+// path would have. pinned, when non-nil, is the entry holding every
+// element start (resolved by the table pass), so the run is counted whole
+// without a lookup.
+func (h *HeatmapSink) applyRange(a *shadow.Access, pinned *shadow.Entry) {
 	count := int(a.Count)
 	stride := int64(a.Stride)
+	if pinned != nil {
+		if ht := h.heatOf(pinned); int(a.Dev) < len(ht.Counts) {
+			h.countRun(ht, a.Dev, a.Addr, count, stride, int64(a.Size))
+		}
+		return
+	}
 	addr := a.Addr
 	for k := 0; k < count; {
-		e := h.last
-		if e == nil || e.Freed || !e.Contains(addr) {
-			e = h.table.Find(addr)
-			if e == nil {
-				k++ // untracked element: the TableSink tallies these
-				addr += memsim.Addr(stride)
-				continue
-			}
-			h.last = e
+		e := h.find(addr)
+		if e == nil {
+			k++ // untracked element: the TableSink tallies these
+			addr += memsim.Addr(stride)
+			continue
 		}
 		run := count - k
 		if stride > 0 {

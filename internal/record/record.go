@@ -26,6 +26,18 @@
 // ordered. Neither path touches a sink until a buffer fills or a flush
 // point is reached.
 //
+// # Resolve once, fan out
+//
+// Every drained record is resolved against the shadow table once. The
+// table sink (attached first by every front end) finds each record's
+// *shadow.Entry while applying the batch and leaves that resolution on
+// the batch's Cursor; the heat-map and pattern sinks that follow read it
+// through Cursor.Resolved instead of repeating the lookup. Records the
+// table pass could not pin to one entry (untracked addresses, runs
+// crossing entries), and sinks driven standalone with a nil cursor, keep
+// the self-resolving path, so both ways of driving a sink give identical
+// results.
+//
 // # Flush ordering guarantees
 //
 // These are the engine-wide ordering rules every front end inherits:
@@ -112,23 +124,47 @@ func appendScalar(buf []shadow.Access, dev machine.Device, addr memsim.Addr, siz
 }
 
 // Cursor carries per-buffer sink state across batch applies: the
-// last-entry SMT lookup cache TableSink seeds RecordAll with, and the
-// engine generation the cache was filled under. The engine keeps one
-// cursor for the merged Record stream and one per Buffer, and nils the
-// cached entry whenever the generation moved (Invalidate) so a front end
-// that swaps its table can never apply a batch against a stale
-// *shadow.Entry.
+// last-entry SMT lookup cache TableSink seeds RecordAll with, the engine
+// generation the cache was filled under, and the current batch's
+// per-record resolution. The engine keeps one cursor for the merged Record
+// stream and one per Buffer, and nils the cached entry whenever the
+// generation moved (Invalidate) so a front end that swaps its table can
+// never apply a batch against a stale *shadow.Entry.
 type Cursor struct {
 	// Last is the last shadow entry the sink resolved; nil after an
 	// invalidation.
 	Last *shadow.Entry
 	gen  uint64
+
+	// table and entries are the batch's resolution: entries[i] is the
+	// entry of table that batch[i] was applied to, or nil when the table
+	// pass could not pin the record to one entry (untracked, or a range
+	// crossing entries). The engine clears table before every batch, so
+	// a resolution never outlives the batch it was made for.
+	table   *shadow.Table
+	entries []*shadow.Entry
+}
+
+// Resolved returns the per-record entries of the n-record batch being
+// applied when the table pass resolved them against t, or nil — a nil
+// cursor, no table pass yet in this batch, a different table, or a
+// different batch length — in which case the caller resolves records
+// itself. A nil element means the record is not pinned to one entry and
+// must be resolved by the caller too.
+func (c *Cursor) Resolved(t *shadow.Table, n int) []*shadow.Entry {
+	if c == nil || c.table != t || len(c.entries) != n {
+		return nil
+	}
+	return c.entries
 }
 
 // Sink consumes drained access batches. Apply calls are serialized by the
 // engine's lock and receive batches in per-word recording order. cur is
-// the batch's cursor; only the table-backed sink uses it, so an engine
-// should host at most one cursor-consuming sink.
+// the batch's cursor. The table-backed sink, which the front ends attach
+// first, owns its lookup cache and publishes its per-record resolution
+// on it; sinks after it (heat map, patterns) read that resolution through
+// Cursor.Resolved instead of looking each record up again. Sinks
+// driven directly with a nil cursor resolve every record themselves.
 type Sink interface {
 	Apply(batch []shadow.Access, cur *Cursor)
 }
@@ -237,6 +273,22 @@ func (e *Engine) AddSink(s Sink) {
 	e.mu.Unlock()
 }
 
+// RemoveSink detaches a sink previously attached with NewEngine or
+// AddSink (compared by interface equality, so s must be the same
+// comparable value). Accesses already buffered are flushed first, so the
+// sink observes every batch recorded before RemoveSink and none after.
+func (e *Engine) RemoveSink(s Sink) {
+	e.Flush()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for i, x := range e.sinks {
+		if x == s {
+			e.sinks = append(e.sinks[:i:i], e.sinks[i+1:]...)
+			return
+		}
+	}
+}
+
 // SetEnabled switches access recording on or off. Already buffered
 // accesses still drain at the next flush point.
 func (e *Engine) SetEnabled(on bool) { e.disabled.Store(!on) }
@@ -269,6 +321,27 @@ func (e *Engine) lockSlot() *pslot {
 	}
 }
 
+// makeRoom returns a locked slot with room for one more record, given
+// the locked slot s that has none: either s was never used (its buffers
+// are allocated here) or it is full. A slot can be found full because the
+// recorder that filled it releases the slot before its Flush runs, so
+// another recorder may lock it first; that recorder must not append past
+// slotCap, so it releases the slot, sweeps the engine itself and retries
+// (the sweep, or a concurrent one it waits out on flushMu, empties every
+// slot).
+func (e *Engine) makeRoom(s *pslot) *pslot {
+	for len(s.buf) >= slotCap {
+		s.unlock()
+		e.Flush()
+		s = e.lockSlot()
+	}
+	if cap(s.buf) == 0 {
+		s.buf = make([]shadow.Access, 0, slotCap)
+		s.seq = make([]uint64, 0, slotCap)
+	}
+	return s
+}
+
 // Record buffers one access in an execution-local slot, sweeping the
 // engine if the slot fills. Safe for concurrent callers.
 func (e *Engine) Record(dev machine.Device, addr memsim.Addr, size int64, kind memsim.AccessKind) {
@@ -276,14 +349,13 @@ func (e *Engine) Record(dev machine.Device, addr memsim.Addr, size int64, kind m
 		return
 	}
 	s := e.lockSlot()
+	if len(s.buf) == cap(s.buf) { // unallocated or full
+		s = e.makeRoom(s)
+	}
 	if !e.dirty.Load() {
 		e.dirty.Store(true)
 	}
 	s.cnt.add(kind, 1)
-	if cap(s.buf) == 0 {
-		s.buf = make([]shadow.Access, 0, slotCap)
-		s.seq = make([]uint64, 0, slotCap)
-	}
 	s.buf = appendScalar(s.buf, dev, addr, size, kind)
 	s.seq = append(s.seq, e.seq.Add(1))
 	full := len(s.buf) >= slotCap
@@ -339,14 +411,13 @@ func (e *Engine) RecordRange(dev machine.Device, base memsim.Addr, count int, st
 func (e *Engine) recordRun(dev machine.Device, base memsim.Addr, count int, stride, size int64, kind memsim.AccessKind) {
 	span := int64(count-1)*stride + size
 	s := e.lockSlot()
+	if len(s.buf) == cap(s.buf) { // unallocated or full
+		s = e.makeRoom(s)
+	}
 	if !e.dirty.Load() {
 		e.dirty.Store(true)
 	}
 	s.cnt.add(kind, int64(count))
-	if cap(s.buf) == 0 {
-		s.buf = make([]shadow.Access, 0, slotCap)
-		s.seq = make([]uint64, 0, slotCap)
-	}
 	n := len(s.buf)
 	s.buf = s.buf[:n+1]
 	a := &s.buf[n]
@@ -362,12 +433,14 @@ func (e *Engine) recordRun(dev machine.Device, base memsim.Addr, count int, stri
 	}
 }
 
-// applyLocked re-syncs the cursor against the current generation and
-// feeds the batch to every sink; the caller holds e.mu.
+// applyLocked re-syncs the cursor against the current generation, drops
+// the previous batch's resolution, and feeds the batch to every sink; the
+// caller holds e.mu.
 func (e *Engine) applyLocked(batch []shadow.Access, cur *Cursor) {
 	if g := e.gen.Load(); cur.gen != g {
 		cur.Last, cur.gen = nil, g
 	}
+	cur.table = nil
 	for _, s := range e.sinks {
 		s.Apply(batch, cur)
 	}

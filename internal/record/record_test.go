@@ -253,3 +253,46 @@ func TestConcurrentFlushSafe(t *testing.T) {
 		t.Errorf("reads = %d, want 8000", c.Reads)
 	}
 }
+
+func TestRemoveSinkStopsDelivery(t *testing.T) {
+	eng, _ := newTableEngine(t, 0x1000, 64)
+	rec := &recordingSink{}
+	eng.AddSink(rec)
+	eng.Record(machine.CPU, 0x1000, 4, memsim.Write)
+	eng.RemoveSink(rec) // flushes the buffered write to rec first
+	eng.Record(machine.GPU, 0x1000, 4, memsim.Read)
+	eng.Flush()
+	if len(rec.accesses) != 1 || rec.accesses[0].Dev != machine.CPU {
+		t.Errorf("removed sink saw %+v, want just the CPU write", rec.accesses)
+	}
+	eng.RemoveSink(rec) // not attached: a no-op
+}
+
+// TestSlotOverflowRace records from more goroutines than there are cores
+// with frequent slot fills: a recorder that finds a slot another recorder
+// filled (and released before sweeping) must sweep and retry instead of
+// appending past the slot's capacity. Every access must arrive exactly
+// once.
+func TestSlotOverflowRace(t *testing.T) {
+	const workers, each = 16, 3 * slotCap
+	rec := &recordingSink{}
+	eng := NewEngine(rec)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				eng.Record(machine.CPU, memsim.Addr(0x1000+w*4), 4, memsim.Write)
+			}
+		}(w)
+	}
+	wg.Wait()
+	eng.Flush()
+	if got := len(rec.accesses); got != workers*each {
+		t.Fatalf("sink saw %d accesses, want %d", got, workers*each)
+	}
+	if c := eng.Counts(); c.Writes != workers*each {
+		t.Errorf("counted %d writes, want %d", c.Writes, workers*each)
+	}
+}

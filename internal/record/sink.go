@@ -8,9 +8,11 @@ import (
 
 // TableSink is the canonical sink: it applies batches to a shadow memory
 // table via RecordAll, carrying the engine cursor as the last-entry
-// lookup cache and tallying accesses that hit no traced entry. Apply runs
-// under the engine lock, which is also the lock protecting the table —
-// front ends inspect or mutate the table only inside Engine.Locked.
+// lookup cache, publishing each record's resolved entry on the cursor for
+// the sinks after it, and tallying accesses that hit no traced entry.
+// Apply runs under the engine lock, which is also the lock protecting the
+// table — front ends inspect or mutate the table only inside
+// Engine.Locked.
 type TableSink struct {
 	table     *shadow.Table
 	untracked atomic.Int64
@@ -23,8 +25,13 @@ func NewTableSink(t *shadow.Table) *TableSink {
 
 // Apply implements Sink.
 func (s *TableSink) Apply(batch []shadow.Access, cur *Cursor) {
-	last, untracked := s.table.RecordAll(batch, cur.Last)
+	if cap(cur.entries) < len(batch) {
+		cur.entries = make([]*shadow.Entry, len(batch))
+	}
+	cur.entries = cur.entries[:len(batch)]
+	last, untracked := s.table.RecordAll(batch, cur.Last, cur.entries)
 	cur.Last = last
+	cur.table = s.table
 	if untracked > 0 {
 		s.untracked.Add(int64(untracked))
 	}

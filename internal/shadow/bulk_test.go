@@ -114,7 +114,7 @@ func TestRecordAllCoalescingEquivalence(t *testing.T) {
 		}
 
 		coalesced := newTab()
-		_, gotUn := coalesced.RecordAll(batch, nil)
+		_, gotUn := coalesced.RecordAll(batch, nil, nil)
 
 		reference := newTab()
 		refUn := 0

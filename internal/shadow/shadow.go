@@ -136,7 +136,17 @@ type Entry struct {
 	// unused-allocation diagnostic is not fooled by per-iteration
 	// intervals.
 	EverTouched bool
+
+	// index is the entry's dense table-assigned number (see Index).
+	index int
 }
+
+// Index returns the entry's dense index: the table numbers its entries
+// 0, 1, 2, ... in insertion order and never reuses a number, so per-entry
+// analysis state (heat maps, pattern streams) can live in slices indexed
+// by it instead of maps keyed by the entry pointer. An entry freed and
+// re-inserted at the same range is a new entry with a new index.
+func (e *Entry) Index() int { return e.index }
 
 // Words returns the number of shadow words in the entry.
 func (e *Entry) Words() int { return len(e.Shadow) }
@@ -153,10 +163,11 @@ func (e *Entry) wordIndex(addr memsim.Addr) int { return int(addr-e.Base) / Word
 // trace.Tracer) buffer accesses and apply them in batches under their own
 // lock via RecordAll.
 type Table struct {
-	entries []*Entry
-	byID    map[int]*Entry       // AllocID -> entry, simulated allocations only
-	dir     map[uint64]*pageLeaf // page index directory: page>>leafBits -> leaf
-	lookups int64                // total lookup operations (overhead accounting)
+	entries  []*Entry
+	byID     map[int]*Entry       // AllocID -> entry, simulated allocations only
+	dir      map[uint64]*pageLeaf // page index directory: page>>leafBits -> leaf
+	lookups  int64                // total lookup operations (overhead accounting)
+	inserted int                  // entries ever inserted: the next Entry.Index
 }
 
 // NewTable returns an empty SMT.
@@ -198,6 +209,7 @@ func (t *Table) InsertRange(base memsim.Addr, size int64, label string, kind mem
 		Kind:    kind,
 		AllocFn: allocFn,
 		Shadow:  make([]byte, words),
+		index:   t.inserted,
 	}
 	i := sort.Search(len(t.entries), func(i int) bool { return t.entries[i].Base >= e.Base })
 	if i < len(t.entries) && t.entries[i].Base < e.End {
@@ -210,6 +222,7 @@ func (t *Table) InsertRange(base memsim.Addr, size int64, label string, kind mem
 	copy(t.entries[i+1:], t.entries[i:])
 	t.entries[i] = e
 	t.indexInsert(e)
+	t.inserted++
 	return e, nil
 }
 
@@ -454,14 +467,26 @@ func (a *Access) Elems() int64 {
 // Read/Write — where applying the update once or twice per word is the
 // same — when it starts inside or adjacent to the run and only re-covers
 // or extends it.
-func (t *Table) RecordAll(batch []Access, hint *Entry) (last *Entry, untracked int) {
+//
+// When resolved is non-nil (len(resolved) >= len(batch)), RecordAll also
+// reports where each record went: resolved[i] is set to the entry
+// batch[i] was applied to if one entry takes the whole record — a
+// scalar's entry is the one containing its address, a run's the one
+// containing every element start — and to nil otherwise (untracked, or a
+// run split across entries or partly untracked). Observers of the same
+// batch can then skip their own lookups for pinned records.
+func (t *Table) RecordAll(batch []Access, hint *Entry, resolved []*Entry) (last *Entry, untracked int) {
 	last = hint
 	for i := 0; i < len(batch); {
 		a := &batch[i]
 		if a.Count > 1 {
 			var un int
-			last, un = t.recordRange(a, last)
+			var pinned *Entry
+			last, pinned, un = t.recordRange(a, last)
 			untracked += un
+			if resolved != nil {
+				resolved[i] = pinned
+			}
 			i++
 			continue
 		}
@@ -470,6 +495,9 @@ func (t *Table) RecordAll(batch []Access, hint *Entry) (last *Entry, untracked i
 			e = t.Find(a.Addr)
 			if e == nil {
 				untracked++
+				if resolved != nil {
+					resolved[i] = nil
+				}
 				i++
 				continue
 			}
@@ -477,6 +505,9 @@ func (t *Table) RecordAll(batch []Access, hint *Entry) (last *Entry, untracked i
 		}
 		if int(a.Dev) >= len(updateTab) || int(a.Kind) >= len(updateTab[0]) {
 			e.record(a.Addr, int64(a.Size), a.Dev, a.Kind)
+			if resolved != nil {
+				resolved[i] = e
+			}
 			i++
 			continue
 		}
@@ -498,6 +529,11 @@ func (t *Table) RecordAll(batch []Access, hint *Entry) (last *Entry, untracked i
 			}
 		}
 		e.applyWords(first, lastW, a.Dev, a.Kind)
+		if resolved != nil {
+			for k := i; k < j; k++ {
+				resolved[k] = e
+			}
+		}
 		i = j
 	}
 	return last, untracked
@@ -506,8 +542,9 @@ func (t *Table) RecordAll(batch []Access, hint *Entry) (last *Entry, untracked i
 // recordRange resolves a run-length-encoded sweep against the table and
 // applies it entry by entry: each traced sub-run becomes one bulk
 // recordRange on its entry, and elements that start in no traced entry
-// count as untracked exactly like their scalar equivalents would.
-func (t *Table) recordRange(a *Access, hint *Entry) (last *Entry, untracked int) {
+// count as untracked exactly like their scalar equivalents would. pinned
+// is the entry when one entry took the whole run, nil otherwise.
+func (t *Table) recordRange(a *Access, hint *Entry) (last, pinned *Entry, untracked int) {
 	last = hint
 	count := int(a.Count)
 	stride := int64(a.Stride)
@@ -532,10 +569,13 @@ func (t *Table) recordRange(a *Access, hint *Entry) (last *Entry, untracked int)
 			}
 		}
 		e.recordRange(addr, run, stride, int64(a.Size), a.Dev, a.Kind)
+		if run == count {
+			pinned = e
+		}
 		k += run
 		addr += memsim.Addr(int64(run) * stride)
 	}
-	return last, untracked
+	return last, pinned, untracked
 }
 
 // Reset clears the per-interval shadow bits and transfer counters

@@ -304,7 +304,7 @@ func TestRecordAllMatchesSequentialRecord(t *testing.T) {
 			tracked++
 		}
 	}
-	last, untracked := batch.RecordAll(accesses, nil)
+	last, untracked := batch.RecordAll(accesses, nil, nil)
 	if untracked != len(accesses)-tracked {
 		t.Errorf("untracked = %d, want %d", untracked, len(accesses)-tracked)
 	}
@@ -332,7 +332,7 @@ func TestRecordAllHintSkipsStaleEntries(t *testing.T) {
 	tb.MarkFreed(a.ID)
 	// A freed hint must not swallow accesses: the lookup runs and reports
 	// the access untracked (the memory may be reused).
-	_, untracked := tb.RecordAll([]Access{{Dev: machine.CPU, Kind: memsim.Write, Addr: a.Base, Size: 4}}, e)
+	_, untracked := tb.RecordAll([]Access{{Dev: machine.CPU, Kind: memsim.Write, Addr: a.Base, Size: 4}}, e, nil)
 	if untracked != 1 {
 		t.Errorf("untracked = %d, want 1 (freed entry)", untracked)
 	}

@@ -83,6 +83,11 @@ type runtime struct {
 	// reference allocations by id.
 	stream      *wire.StreamSink
 	nextAllocID int
+
+	// attached lists every sink attached besides the table sink (AddSink
+	// and the Enable functions), so Reset can detach them; guarded by
+	// the engine lock.
+	attached []record.Sink
 }
 
 func newRuntime() *runtime {
@@ -102,13 +107,21 @@ func recordAccess(dev Device, addr uintptr, size int64, kind memsim.AccessKind) 
 	rt.eng.Record(dev, memsim.Addr(addr), size, kind)
 }
 
-// Reset discards all registered allocations and recorded accesses;
-// intended for tests and for programs analyzing several phases
-// independently.
+// Reset discards all registered allocations and recorded accesses and
+// detaches every sink but the table sink (heat maps, pattern sinks,
+// streams, and sinks attached with AddSink), so none of them sees a batch
+// recorded after the reset; intended for tests and for programs analyzing
+// several phases independently.
 func Reset() {
 	rt.eng.Reset()
+	var attached []record.Sink
+	rt.eng.Locked(func() { attached, rt.attached = rt.attached, nil })
+	for _, s := range attached {
+		rt.eng.RemoveSink(s)
+	}
 	rt.eng.Locked(func() {
 		rt.sink.SetTable(shadow.NewTable())
+		rt.stream = nil
 		rt.opt = detect.DefaultOptions()
 		// Invalidate inside the same locked section as the table swap: no
 		// batch may apply a cached *shadow.Entry against the new table.
@@ -128,17 +141,24 @@ func SetEnabled(on bool) { rt.eng.SetEnabled(on) }
 func Flush() { rt.eng.Flush() }
 
 // AddSink attaches an additional observer to the runtime's engine; it
-// sees every access batch drained from now on.
-func AddSink(s record.Sink) { rt.eng.AddSink(s) }
+// sees every access batch drained from now on until the next Reset, which
+// detaches it.
+func AddSink(s record.Sink) { attach(s) }
+
+// attach adds s to the engine and remembers it for Reset to detach.
+func attach(s record.Sink) {
+	rt.eng.Locked(func() { rt.attached = append(rt.attached, s) })
+	rt.eng.AddSink(s)
+}
 
 // EnableHeatmap attaches a per-word access-frequency observer (a
 // record.HeatmapSink) over the current shadow table and returns it. The
 // sink observes accesses recorded from now on; a later Reset replaces the
-// table and orphans the sink, so enable it again after resetting.
+// table and detaches the sink, so enable it again after resetting.
 func EnableHeatmap() *record.HeatmapSink {
 	var hm *record.HeatmapSink
 	rt.eng.Locked(func() { hm = record.NewHeatmapSink(rt.sink.Table()) })
-	rt.eng.AddSink(hm)
+	attach(hm)
 	return hm
 }
 
@@ -148,11 +168,11 @@ func EnableHeatmap() *record.HeatmapSink {
 // programs have no kernel launches, so every stream stays in span 0
 // unless the caller marks phases itself via Sink.BeginSpan (inside
 // a flush; see the pattern package). Like EnableHeatmap, a later Reset
-// orphans the sink.
+// detaches the sink.
 func EnablePatterns() *pattern.Sink {
 	var ps *pattern.Sink
 	rt.eng.Locked(func() { ps = pattern.NewSink(rt.sink.Table()) })
-	rt.eng.AddSink(ps)
+	attach(ps)
 	return ps
 }
 
@@ -161,10 +181,10 @@ func EnablePatterns() *pattern.Sink {
 // aggregator (cmd/xplagg) can mirror the allocation table and analyses.
 // Real heap addresses go on the wire as-is — the remote table is keyed by
 // the same addresses the local one is. The caller owns Close on the sink
-// (after a final Flush); a later Reset does not detach it.
+// (after a final Flush); a later Reset detaches it without closing it.
 func EnableStream(ss *wire.StreamSink) {
 	rt.eng.Locked(func() { rt.stream = ss })
-	rt.eng.AddSink(ss)
+	attach(ss)
 }
 
 // Untracked reports how many recorded accesses hit no registered

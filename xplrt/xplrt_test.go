@@ -8,6 +8,7 @@ import (
 
 	"xplacer/internal/detect"
 	"xplacer/internal/memsim"
+	"xplacer/internal/record"
 	"xplacer/internal/shadow"
 )
 
@@ -391,4 +392,43 @@ func TestEnableHeatmap(t *testing.T) {
 		t.Errorf("totals = %v", h.Totals)
 	}
 	Report()
+}
+
+// batchCounter is a sink counting the batches it receives.
+type batchCounter struct{ batches int }
+
+func (c *batchCounter) Apply([]shadow.Access, *record.Cursor) { c.batches++ }
+
+// TestResetDetachesSinks checks that Reset leaves only the table sink
+// attached: a sink added before the reset, and the heat-map and pattern
+// sinks built on the old table, see no batch recorded after it.
+func TestResetDetachesSinks(t *testing.T) {
+	Reset()
+	c := &batchCounter{}
+	AddSink(c)
+	hm := EnableHeatmap()
+	ps := EnablePatterns()
+	xs := Slice[int64](8, "xs")
+	_ = *TraceR(&xs[0])
+	Flush()
+	if c.batches != 1 {
+		t.Fatalf("sink saw %d batches before Reset, want 1", c.batches)
+	}
+	Reset()
+	ys := Slice[int64](8, "ys")
+	_ = *TraceR(&ys[0])
+	OnDevice(GPU, func(s *DeviceScope) { *ScopeW(s, &ys[1]) = 1 })
+	Flush()
+	if c.batches != 1 {
+		t.Errorf("sink saw %d batches after Reset, want none beyond the first", c.batches-1)
+	}
+	if heats := hm.Heats(); len(heats) != 1 || heats[0].Label() != "xs" {
+		t.Errorf("detached heat map changed after Reset: %d heats", len(heats))
+	}
+	if rows := ps.Rows(); len(rows) != 1 || rows[0].Alloc != "xs" {
+		t.Errorf("detached pattern sink changed after Reset: %+v", rows)
+	}
+	if got := ShadowOf(ys); got[0] == 0 || got[2] == 0 {
+		t.Errorf("table sink lost the post-Reset accesses: %v", got)
+	}
 }
