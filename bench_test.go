@@ -20,7 +20,10 @@ import (
 
 	"xplacer/internal/agg"
 	"xplacer/internal/bench"
+	"xplacer/internal/cuda"
 	"xplacer/internal/machine"
+	"xplacer/internal/memsim"
+	"xplacer/internal/trace"
 )
 
 // reportSpeedups attaches each row's factor as a custom metric.
@@ -235,6 +238,62 @@ func BenchmarkTraceRangeSweep(b *testing.B) {
 			if ranged > 0 {
 				b.ReportMetric(scalar/ranged, "range_speedup_x")
 			}
+		})
+	}
+}
+
+// slotOnlyTracer hides cuda.BufferedTracer, so kernels traced through it
+// record every access through TraceAccess and the engine's per-P slots.
+type slotOnlyTracer struct {
+	cuda.Tracer
+	cuda.RangeTracer
+}
+
+// BenchmarkKernelAccess measures one traced element access made by a
+// simulated kernel body: the whole Exec.Access path of recording call,
+// UM cost model and per-kernel accounting. The kernel streams over three
+// interleaved arrays (two loads and a store per element, so records do not
+// coalesce). Buffered records through the tracer's single-owner kernel
+// buffer; Slots hides cuda.BufferedTracer, so the same kernel records
+// through TraceAccess and the per-P slots, with their slot CAS, sequence
+// stamp and drain merge.
+func BenchmarkKernelAccess(b *testing.B) {
+	const n = 1 << 15
+	for _, c := range []struct {
+		name  string
+		slots bool
+	}{
+		{"Buffered", false},
+		{"Slots", true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ctx := cuda.MustContext(machine.IntelPascal())
+			tr := trace.New()
+			if c.slots {
+				ctx.SetTracer(slotOnlyTracer{tr, tr})
+			} else {
+				ctx.SetTracer(tr)
+			}
+			var v [3]memsim.Float64View
+			for i := range v {
+				a, err := ctx.MallocManaged(n*8, fmt.Sprintf("a%d", i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				v[i] = memsim.Float64s(a)
+			}
+			kernel := func(e *cuda.Exec) {
+				for j := int64(0); j < n; j++ {
+					v[2].Store(e, j, v[0].Load(e, j)+v[1].Load(e, j))
+				}
+			}
+			ctx.LaunchSync("warm-up", kernel) // migrate the pages to the GPU
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ctx.Launch(nil, "k", kernel)
+			}
+			tr.Flush()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(3*n*b.N), "ns_per_access")
 		})
 	}
 }

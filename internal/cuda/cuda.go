@@ -30,9 +30,12 @@ import (
 
 // Tracer observes runtime events. internal/trace implements it; a nil
 // tracer on the Context disables instrumentation (the "original version"
-// of Table III).
+// of Table III). Two optional extensions cut recording cost: RangeTracer
+// takes strided sweeps as one call, and BufferedTracer gives kernels a
+// single-owner recorder in place of TraceAccess.
 type Tracer interface {
-	// TraceAccess observes one element access by dev.
+	// TraceAccess observes one element access by dev: every host access,
+	// and every kernel access unless the tracer is a BufferedTracer.
 	TraceAccess(dev machine.Device, a *memsim.Alloc, addr memsim.Addr, size int64, kind memsim.AccessKind)
 	// TraceAlloc observes an allocation (trcMalloc/trcMallocManaged).
 	TraceAlloc(a *memsim.Alloc)
@@ -50,12 +53,39 @@ type Tracer interface {
 // tracer implementing it receives strided element sweeps as single
 // run-length-encoded records instead of per-element TraceAccess calls.
 // internal/trace implements it; Exec.TraceRange falls back to per-element
-// TraceAccess for tracers that do not.
+// TraceAccess for tracers that do not. Kernels of a BufferedTracer record
+// their ranges through the kernel recorder instead.
 type RangeTracer interface {
 	// TraceAccessRange observes count element accesses of size bytes by
 	// dev, the k-th at addr + k*stride, with the exact per-word semantics
 	// of count TraceAccess calls in ascending address order.
 	TraceAccessRange(dev machine.Device, a *memsim.Alloc, addr memsim.Addr, count int, stride, size int64, kind memsim.AccessKind)
+}
+
+// KernelRecorder is a single-owner recording path for kernel bodies:
+// Record and RecordRange have the semantics of TraceAccess and
+// TraceAccessRange, but may buffer privately until Flush, so they need
+// none of the synchronization TraceAccess pays for concurrent callers.
+// internal/trace hands out a record.Buffer.
+type KernelRecorder interface {
+	Record(dev machine.Device, addr memsim.Addr, size int64, kind memsim.AccessKind)
+	RecordRange(dev machine.Device, addr memsim.Addr, count int, stride, size int64, kind memsim.AccessKind)
+	// Flush makes every access recorded so far visible to the tracer, in
+	// recording order and after everything the tracer observed earlier.
+	Flush()
+}
+
+// BufferedTracer is the optional single-owner extension of Tracer. The
+// Context asks for one kernel recorder when the tracer is installed and
+// reuses it for every launch: kernel accesses (Exec.Access and
+// Exec.TraceRange) record through it, and Launch flushes it as soon as
+// the body returns, so a kernel's accesses reach the tracer before any
+// later host access, free, transfer or launch. The kernel body runs on
+// the launching goroutine, which makes it the recorder's single owner.
+// Host accesses still go through TraceAccess; tracers without the
+// extension see kernel accesses there too.
+type BufferedTracer interface {
+	NewKernelRecorder() KernelRecorder
 }
 
 // Stream orders asynchronous work. Operations issued on the same stream
@@ -179,6 +209,7 @@ type Context struct {
 	space   *memsim.Space
 	drv     *um.Driver
 	tracer  Tracer
+	krec    KernelRecorder // the BufferedTracer's kernel recorder, or nil
 	tl      *timeline.Timeline
 	streams []*Stream
 	host    *Exec
@@ -231,8 +262,15 @@ func MustContext(plat *machine.Platform) *Context {
 	return ctx
 }
 
-// SetTracer installs (or with nil removes) the instrumentation hook.
-func (c *Context) SetTracer(t Tracer) { c.tracer = t }
+// SetTracer installs (or with nil removes) the instrumentation hook. A
+// BufferedTracer hands over its kernel recorder here; the previous
+// tracer's recorder is dropped.
+func (c *Context) SetTracer(t Tracer) {
+	c.tracer, c.krec = t, nil
+	if bt, ok := t.(BufferedTracer); ok {
+		c.krec = bt.NewKernelRecorder()
+	}
+}
 
 // Tracer returns the installed tracer, or nil.
 func (c *Context) Tracer() Tracer { return c.tracer }
@@ -823,7 +861,8 @@ func (c *Context) MemcpyD2H(dst []byte, src *memsim.Alloc, off int64) {
 // by GPU parallelism + remote access time divided by link concurrency +
 // serial driver time (faults, migrations). The launch emits one
 // kernel-span event carrying the aggregated per-kernel costs and the set
-// of allocations the kernel touched.
+// of allocations the kernel touched. With a BufferedTracer the kernel's
+// accesses drain to the tracer when the body returns.
 func (c *Context) Launch(s *Stream, name string, body func(e *Exec)) {
 	if s == nil {
 		s = c.streams[0]
@@ -839,8 +878,11 @@ func (c *Context) Launch(s *Stream, name string, body func(e *Exec)) {
 		}
 	}
 	c.kernels++
-	e := &Exec{ctx: c, dev: machine.GPU}
+	e := &Exec{ctx: c, dev: machine.GPU, rec: c.krec}
 	body(e)
+	if e.rec != nil {
+		e.rec.Flush()
+	}
 	e.stampPatterns(c.plat)
 	dur := c.plat.KernelLaunch + e.kernelDuration(c.plat)
 	start := c.tl.Clock().Reserve(s.id, dur)
@@ -913,6 +955,10 @@ type Exec struct {
 	ctx  *Context
 	dev  machine.Device
 	host bool
+	// rec is the kernel recorder traced accesses go through instead of
+	// the tracer's per-access hooks; nil for host code and for tracers
+	// without one.
+	rec KernelRecorder
 
 	serial machine.Duration
 	// allocs accumulates per-allocation state, indexed by alloc ID: the
@@ -994,6 +1040,10 @@ func (e *Exec) TraceRange(kind memsim.AccessKind, a *memsim.Alloc, off int64, co
 		return
 	}
 	addr := a.Base + memsim.Addr(off)
+	if e.rec != nil {
+		e.rec.RecordRange(e.dev, addr, count, stride, size, kind)
+		return
+	}
 	if rt, ok := t.(RangeTracer); ok {
 		rt.TraceAccessRange(e.dev, a, addr, count, stride, size, kind)
 		return
@@ -1005,8 +1055,12 @@ func (e *Exec) TraceRange(kind memsim.AccessKind, a *memsim.Alloc, off int64, co
 
 // access is the shared body of Access and the NoTrace view.
 func (e *Exec) access(a *memsim.Alloc, addr memsim.Addr, size int64, kind memsim.AccessKind, traced bool) {
-	if t := e.ctx.tracer; traced && t != nil {
-		t.TraceAccess(e.dev, a, addr, size, kind)
+	if traced {
+		if e.rec != nil {
+			e.rec.Record(e.dev, addr, size, kind)
+		} else if t := e.ctx.tracer; t != nil {
+			t.TraceAccess(e.dev, a, addr, size, kind)
+		}
 	}
 	cost := e.ctx.drv.Access(e.dev, a, addr, size, kind)
 	if e.host {

@@ -572,3 +572,93 @@ func TestAccessCaptureMatchesMapReference(t *testing.T) {
 		t.Fatal("dense capture differs from the map-keyed reference")
 	}
 }
+
+// countingRecorder is a KernelRecorder that counts what it is handed.
+type countingRecorder struct {
+	pending, flushed, ranges, flushes int
+}
+
+func (r *countingRecorder) Record(machine.Device, memsim.Addr, int64, memsim.AccessKind) {
+	r.pending++
+}
+func (r *countingRecorder) RecordRange(_ machine.Device, _ memsim.Addr, count int, _, _ int64, _ memsim.AccessKind) {
+	r.pending += count
+	r.ranges++
+}
+func (r *countingRecorder) Flush() {
+	r.flushed += r.pending
+	r.pending = 0
+	r.flushes++
+}
+
+// bufferedTracer is a recordingTracer that also hands out kernel
+// recorders.
+type bufferedTracer struct {
+	recordingTracer
+	recs []*countingRecorder
+}
+
+func (b *bufferedTracer) NewKernelRecorder() KernelRecorder {
+	r := &countingRecorder{}
+	b.recs = append(b.recs, r)
+	return r
+}
+
+func TestKernelRecorderLifecycle(t *testing.T) {
+	ctx := MustContext(testPlat())
+	bt := &bufferedTracer{}
+	ctx.SetTracer(bt)
+	if len(bt.recs) != 1 {
+		t.Fatalf("SetTracer asked for %d recorders, want 1", len(bt.recs))
+	}
+	rec := bt.recs[0]
+	a, _ := ctx.MallocManaged(64, "a")
+	v := memsim.Float64s(a)
+	v.Store(ctx.Host(), 0, 1)
+	if bt.accesses != 1 || rec.pending != 0 {
+		t.Fatalf("host access: TraceAccess %d, recorder %d; want 1 and 0", bt.accesses, rec.pending)
+	}
+
+	ctx.SetLaunchHook(func() {
+		if rec.pending != 0 {
+			t.Errorf("launch hook ran with %d unflushed kernel records", rec.pending)
+		}
+	})
+	ctx.Launch(nil, "k1", func(e *Exec) {
+		v.Load(e, 0)
+		v.Load(e, 1)
+		v.Store(e.NoTrace(), 2, 3) // priced, not traced
+		e.TraceRange(memsim.Read, a, 0, 4, 8, 8)
+		if rec.pending != 6 || rec.flushes != 0 {
+			t.Errorf("mid-body: %d pending, %d flushes; want 6 and 0", rec.pending, rec.flushes)
+		}
+	})
+	if rec.flushed != 6 || rec.flushes != 1 || rec.ranges != 1 {
+		t.Errorf("after k1: flushed %d in %d flushes, %d ranges; want 6, 1, 1", rec.flushed, rec.flushes, rec.ranges)
+	}
+	if bt.accesses != 1 {
+		t.Errorf("kernel accesses reached TraceAccess: %d calls", bt.accesses)
+	}
+	ctx.Launch(nil, "k2", func(e *Exec) { v.Load(e, 0) })
+	if len(bt.recs) != 1 || rec.flushed != 7 || rec.flushes != 2 {
+		t.Errorf("k2: %d recorders, flushed %d in %d flushes; want the one recorder reused, 7, 2", len(bt.recs), rec.flushed, rec.flushes)
+	}
+
+	// A tracer without the extension gets kernel accesses through
+	// TraceAccess; the dropped recorder sees nothing more.
+	plain := &recordingTracer{}
+	ctx.SetTracer(plain)
+	ctx.Launch(nil, "k3", func(e *Exec) { v.Load(e, 0) })
+	if plain.accesses != 1 || rec.flushed != 7 || rec.flushes != 2 {
+		t.Errorf("k3: TraceAccess %d, old recorder flushed %d in %d flushes; want 1, 7, 2", plain.accesses, rec.flushed, rec.flushes)
+	}
+
+	// Re-installing the buffered tracer asks for a fresh recorder.
+	ctx.SetTracer(bt)
+	ctx.Launch(nil, "k4", func(e *Exec) { v.Load(e, 0) })
+	if len(bt.recs) != 2 || bt.recs[1].flushed != 1 || rec.flushed != 7 {
+		t.Errorf("k4: %d recorders, new flushed %d, old flushed %d; want 2, 1, 7", len(bt.recs), bt.recs[1].flushed, rec.flushed)
+	}
+	ctx.SetTracer(nil)
+	ctx.Launch(nil, "k5", func(e *Exec) { v.Load(e, 0) }) // untraced, no recorder
+}

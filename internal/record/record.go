@@ -20,11 +20,15 @@
 // the sinks see them, so the per-word ordering the detectors depend on is
 // reconstructed at drain time instead of being imposed on the hot path.
 // A Buffer is the still-cheaper variant for single-owner
-// (goroutine-private) recording, used by xplrt's DeviceScope: it needs
-// neither slot selection nor stamps, because one owner appending in
-// program order and applying the whole buffer as one batch is already
-// ordered. Neither path touches a sink until a buffer fills or a flush
-// point is reached.
+// (goroutine-private) recording: it needs neither slot selection nor
+// stamps, because one owner appending in program order and applying the
+// whole buffer as one batch is already ordered. It has two users:
+// xplrt's DeviceScope, and the simulator's kernels, which record through
+// a Buffer that internal/trace hands to the cuda.Context and that the
+// context drains as soon as each kernel body returns. The per-P slots
+// serve everything else: simulated host code, xplrt calls outside a
+// scope, and concurrent TraceAccess callers. Neither path touches a sink
+// until a buffer fills or a flush point is reached.
 //
 // # Resolve once, fan out
 //

@@ -11,16 +11,20 @@
 // buffering, sharding, and batch-drain machinery that keeps that lookup
 // off the per-access critical path lives in the shared recording engine
 // (internal/record); the tracer is a thin front end wiring the engine's
-// canonical TableSink to the CUDA-like wrappers. Flush ordering (why a
-// transfer's bulk access lands after every buffered element access, and
-// what concurrent simulated kernels may assume) is documented once, in
-// package record.
+// canonical TableSink to the CUDA-like wrappers. Host accesses and direct
+// TraceAccess callers record into the engine's per-P slots; simulated
+// kernels record through a single-owner record.Buffer the tracer hands the
+// context (cuda.BufferedTracer), which the context drains when the kernel
+// body returns. Flush ordering (why a transfer's bulk access lands after
+// every buffered element access, and what concurrent TraceAccess callers
+// may assume) is documented once, in package record.
 package trace
 
 import (
 	"fmt"
 	"sync/atomic"
 
+	"xplacer/internal/cuda"
 	"xplacer/internal/machine"
 	"xplacer/internal/memsim"
 	"xplacer/internal/pattern"
@@ -50,9 +54,9 @@ type Stats struct {
 
 // Tracer records memory operations into shadow memory through the shared
 // recording engine. The zero value is not usable; call New. TraceAccess
-// may be called from concurrent goroutines (parallel simulated kernels);
-// diagnostics and the other wrappers flush the access buffers before
-// touching the table.
+// and TraceAccessRange may be called from concurrent goroutines; each
+// kernel recorder has one owner at a time. Diagnostics and the other
+// wrappers flush the engine's shared buffers before touching the table.
 type Tracer struct {
 	sink *record.TableSink
 	eng  *record.Engine
@@ -177,8 +181,10 @@ func (t *Tracer) TraceFree(a *memsim.Alloc) {
 }
 
 // TraceAccess implements cuda.Tracer; it is the runtime body of traceR,
-// traceW, and traceRW. It only appends to an engine shard — safe for
-// concurrent simulated kernels.
+// traceW, and traceRW. It only appends to one of the engine's per-P
+// slots, so it is safe for concurrent callers. The simulator calls it for
+// host accesses; simulated kernels record through NewKernelRecorder's
+// buffer instead.
 func (t *Tracer) TraceAccess(dev machine.Device, _ *memsim.Alloc, addr memsim.Addr, size int64, kind memsim.AccessKind) {
 	t.eng.Record(dev, addr, size, kind)
 }
@@ -190,6 +196,12 @@ func (t *Tracer) TraceAccess(dev machine.Device, _ *memsim.Alloc, addr memsim.Ad
 func (t *Tracer) TraceAccessRange(dev machine.Device, _ *memsim.Alloc, addr memsim.Addr, count int, stride, size int64, kind memsim.AccessKind) {
 	t.eng.RecordRange(dev, addr, count, stride, size, kind)
 }
+
+// NewKernelRecorder implements cuda.BufferedTracer: a single-owner
+// record.Buffer on the tracer's engine. A kernel body appends to it with
+// no slot lock, sequence stamp or drain merge, and its drain flushes the
+// shared slots first (ordering guarantee 3 of package record).
+func (t *Tracer) NewKernelRecorder() cuda.KernelRecorder { return t.eng.NewBuffer() }
 
 // TraceTransfer implements cuda.Tracer: host-to-device copies are recorded
 // as CPU writes of the range, device-to-host copies as CPU reads (§III-C,
