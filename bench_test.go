@@ -23,6 +23,7 @@ import (
 	"xplacer/internal/cuda"
 	"xplacer/internal/machine"
 	"xplacer/internal/memsim"
+	"xplacer/internal/record"
 	"xplacer/internal/trace"
 )
 
@@ -256,15 +257,19 @@ type slotOnlyTracer struct {
 // coalesce). Buffered records through the tracer's single-owner kernel
 // buffer; Slots hides cuda.BufferedTracer, so the same kernel records
 // through TraceAccess and the per-P slots, with their slot CAS, sequence
-// stamp and drain merge.
+// stamp and drain merge. BufferedSinks is Buffered with a heat-map and a
+// pattern sink attached: full kernel buffers apply on the engine's apply
+// goroutine, so on more than one core the sink work overlaps the body.
 func BenchmarkKernelAccess(b *testing.B) {
 	const n = 1 << 15
 	for _, c := range []struct {
 		name  string
 		slots bool
+		sinks bool
 	}{
-		{"Buffered", false},
-		{"Slots", true},
+		{"Buffered", false, false},
+		{"BufferedSinks", false, true},
+		{"Slots", true, false},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			ctx := cuda.MustContext(machine.IntelPascal())
@@ -281,6 +286,10 @@ func BenchmarkKernelAccess(b *testing.B) {
 					b.Fatal(err)
 				}
 				v[i] = memsim.Float64s(a)
+			}
+			if c.sinks {
+				tr.AddSink(record.NewHeatmapSink(tr.Table()))
+				tr.EnablePatterns(ctx.Now)
 			}
 			kernel := func(e *cuda.Exec) {
 				for j := int64(0); j < n; j++ {

@@ -66,7 +66,9 @@ type RangeTracer interface {
 // Record and RecordRange have the semantics of TraceAccess and
 // TraceAccessRange, but may buffer privately until Flush, so they need
 // none of the synchronization TraceAccess pays for concurrent callers.
-// internal/trace hands out a record.Buffer.
+// internal/trace hands out a record.Buffer, which applies full batches on
+// another goroutine while the body runs; the simulated clock does not
+// move inside a body, so those applies see the launch-time clock.
 type KernelRecorder interface {
 	Record(dev machine.Device, addr memsim.Addr, size int64, kind memsim.AccessKind)
 	RecordRange(dev machine.Device, addr memsim.Addr, count int, stride, size int64, kind memsim.AccessKind)

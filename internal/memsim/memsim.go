@@ -106,7 +106,8 @@ func (a *Alloc) End() Addr { return a.Base + Addr(a.Size) }
 // Contains reports whether addr falls inside the allocation.
 func (a *Alloc) Contains(addr Addr) bool { return addr >= a.Base && addr < a.End() }
 
-// Data exposes the backing bytes (authoritative copy).
+// Data exposes the backing bytes (authoritative copy); nil for an
+// allocation made with Space.Reserve.
 func (a *Alloc) Data() []byte { return a.data }
 
 // Offset translates an address inside the allocation to a byte offset.
@@ -150,8 +151,21 @@ func NewSpace(pageSize int64) *Space {
 // PageSize returns the space's page granularity in bytes.
 func (s *Space) PageSize() int64 { return s.pageSize }
 
-// Alloc reserves size bytes of a given kind. Size must be positive.
+// Alloc reserves size bytes of a given kind, with zeroed backing data.
+// Size must be positive.
 func (s *Space) Alloc(size int64, kind Kind, label string) (*Alloc, error) {
+	a, err := s.Reserve(size, kind, label)
+	if err != nil {
+		return nil, err
+	}
+	a.data = make([]byte, size)
+	return a, nil
+}
+
+// Reserve is Alloc without backing data: the allocation gets its ID and
+// address range, but Data returns nil. It is for replays of a captured
+// run, which price accesses by address and never read or write the bytes.
+func (s *Space) Reserve(size int64, kind Kind, label string) (*Alloc, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("memsim: allocation size must be positive, got %d", size)
 	}
@@ -161,7 +175,6 @@ func (s *Space) Alloc(size int64, kind Kind, label string) (*Alloc, error) {
 		Size:  size,
 		Kind:  kind,
 		Label: label,
-		data:  make([]byte, size),
 	}
 	span := (size + s.pageSize - 1) / s.pageSize * s.pageSize
 	s.next += Addr(span)

@@ -30,6 +30,25 @@
 // scope, and concurrent TraceAccess callers. Neither path touches a sink
 // until a buffer fills or a flush point is reached.
 //
+// A full slot sweeps inline, on the recording goroutine. A full Buffer
+// does not apply its batch itself: it hands the slice to the engine's
+// apply goroutine through a FIFO queue of fixed depth (pipeDepth, 8
+// batches) and keeps recording into a spare slice from the engine's
+// pool, so the sinks work through one batch while the owner fills the
+// next, and the owner blocks only when the queue is full. The apply
+// goroutine runs while batches are queued and exits when the queue
+// empties. Every synchronous entry point — Flush, Buffer.Flush, Locked,
+// Counts, AddSink, RemoveSink, Reset, and the slot sweeps behind them —
+// first waits until every batch handed off before it has been applied,
+// so "flush, then inspect" sequences see exactly what they saw when
+// every batch applied inline. Explicit flushes still apply their
+// remainder inline. That matters for clock-driven sinks
+// (HeatmapSink.RotateOnClock, a clocked wire.StreamSink), which read the
+// simulated clock in Apply: the simulator's clock does not move inside a
+// kernel body, so a batch handed off mid-body reads the time it would
+// have read inline, but host code does move it, so each flush point
+// applies at its own time.
+//
 // # Resolve once, fan out
 //
 // Every drained record is resolved against the shadow table once. The
@@ -50,15 +69,20 @@
 //     apply to the sinks in recording order. (The drain merge restores
 //     global sequence order, which is stronger: the entire Record stream
 //     applies in the order the stamps were taken.)
-//  2. Flush drains every slot; after it returns, everything recorded
-//     through Record before the call is visible to the sinks.
+//  2. Flush drains every slot and waits for every handed-off Buffer
+//     batch; after it returns, everything recorded through Record, and
+//     every full Buffer batch handed off, before the call is visible to
+//     the sinks.
 //  3. A Buffer drain flushes the shared slots first, so accesses
 //     recorded through Record before a buffer section (e.g. CPU
 //     initialization preceding a GPU scope) apply before the buffer's
 //     own batch.
-//  4. Sink applications are serialized by the engine's lock; front ends
-//     run their own sink inspections (diagnostics, table mutation) under
-//     Locked to order them against concurrent drains.
+//  4. Sink applications run one at a time, in handoff order: each holds
+//     the engine's lock, and handed-off batches apply in the order they
+//     were handed off, each after the slot records its handoff swept.
+//     Front ends run their own sink inspections (diagnostics, table
+//     mutation) under Locked, which waits for every batch handed off
+//     before it, to order them against concurrent drains.
 //
 // Front-end flush points (diagnostics, transfers, frees, scope exits)
 // are implemented as Flush followed by a Locked inspection, which is
@@ -163,7 +187,9 @@ func (c *Cursor) Resolved(t *shadow.Table, n int) []*shadow.Entry {
 }
 
 // Sink consumes drained access batches. Apply calls are serialized by the
-// engine's lock and receive batches in per-word recording order. cur is
+// engine's lock and receive batches in per-word recording order; a full
+// Buffer's batch applies on the engine's apply goroutine, so Apply must
+// not assume it runs on the recording goroutine. cur is
 // the batch's cursor. The table-backed sink, which the front ends attach
 // first, owns its lookup cache and publishes its per-record resolution
 // on it; sinks after it (heat map, patterns) read that resolution through
@@ -218,13 +244,16 @@ func (s *pslot) unlock() { s.held.Store(false) }
 
 // Engine is the concurrency-safe recording engine. Record may be called
 // from concurrent goroutines; sink application happens in batches under
-// the engine lock. The zero value is not usable; call NewEngine.
+// the engine lock, on the flushing goroutine or on the engine's apply
+// goroutine (full Buffers). The zero value is not usable; call NewEngine.
 type Engine struct {
 	// mu serializes sink application and guards the sink list; front ends
 	// take it through Locked for their own sink-state inspections.
 	// Lock order is always flushMu -> slot locks -> mu, never the reverse;
 	// nothing acquires flushMu while holding a slot lock or mu (which is
-	// why Locked's fn must not call Flush).
+	// why Locked's fn must not call Flush). The apply goroutine takes mu
+	// per batch and nothing else of these, so the pipeline barrier may
+	// wait while holding flushMu but never while holding mu.
 	mu    sync.Mutex
 	sinks []Sink
 	// flushMu serializes whole-engine slot sweeps (see Flush).
@@ -260,11 +289,17 @@ type Engine struct {
 	// (per-slot cursors would be meaningless: slots hold execution
 	// locality, not address locality); guarded by mu.
 	mergedCur Cursor
+
+	// pipe applies full Buffers' batches on a goroutine of its own (see
+	// pipe.go); every synchronous entry point waits for it first.
+	pipe pipe
 }
 
 // NewEngine returns an enabled engine draining into the given sinks.
 func NewEngine(sinks ...Sink) *Engine {
-	return &Engine{sinks: sinks}
+	e := &Engine{sinks: sinks}
+	e.pipe.init()
+	return e
 }
 
 // AddSink attaches another sink. Accesses already buffered are flushed to
@@ -468,7 +503,7 @@ func (m seqMerge) Swap(i, j int) {
 
 // sweep gathers every slot's pending records, merges them back into
 // global sequence order, and applies the result to the sinks as one
-// batch; the caller holds flushMu.
+// batch; the caller holds flushMu and has waited for earlier handoffs.
 //
 // All slot locks are held across the gather. This is what makes the
 // sweep a linearization point: a recording goroutine that migrated
@@ -515,29 +550,40 @@ func (e *Engine) sweep() {
 	e.mu.Unlock()
 }
 
-// Flush drains every slot into the sinks (ordering guarantee 2). When no
-// slot has taken an access since the last sweep the call is one
-// uncontended lock. flushMu serializes sweeps, so a Flush returning
-// cheaply has still waited out any in-flight sweep — without it a second
-// Flush could observe the cleared dirty flag and return while the first
-// was mid-sweep, with undrained slots still ahead of it. A Record racing
-// with the sweep either gets drained by it or re-marks the engine dirty
-// for the next Flush.
+// Flush waits for every Buffer batch handed off before the call and
+// drains every slot into the sinks (ordering guarantee 2). When nothing
+// is pending and no slot has taken an access since the last sweep the
+// call is one atomic load and one uncontended lock.
 func (e *Engine) Flush() {
-	e.flushMu.Lock()
-	defer e.flushMu.Unlock()
-	if !e.dirty.Swap(false) {
-		return
-	}
-	e.sweep()
+	e.wait()
+	e.sweepDirty()
 }
 
-// Locked runs fn while holding the engine's sink lock, ordering fn
-// against concurrent batch applies (ordering guarantee 4). Front ends use
-// it for everything that reads or mutates sink state: diagnostics, SMT
-// registration, table swaps. fn must not call Flush, Record, Counts, or
-// Locked.
+// sweepDirty sweeps the slots if any has taken an access since the last
+// sweep, after waiting for the batches handed off so far (applies run in
+// handoff order). flushMu serializes sweeps, so a call returning cheaply
+// has still waited out any in-flight sweep — without it a second caller
+// could observe the cleared dirty flag and return while the first was
+// mid-sweep, with undrained slots still ahead of it. A Record racing with
+// the sweep either gets drained by it or re-marks the engine dirty for
+// the next call.
+func (e *Engine) sweepDirty() {
+	e.flushMu.Lock()
+	defer e.flushMu.Unlock()
+	if e.dirty.Swap(false) {
+		e.wait()
+		e.sweep()
+	}
+}
+
+// Locked waits for every Buffer batch handed off before the call, then
+// runs fn while holding the engine's sink lock, ordering fn against
+// concurrent batch applies (ordering guarantee 4). Front ends use it for
+// everything that reads or mutates sink state: diagnostics, SMT
+// registration, table swaps. fn must not call Flush, Record, Counts,
+// Locked, or a Buffer's methods.
 func (e *Engine) Locked(fn func()) {
+	e.wait()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	fn()
@@ -550,16 +596,19 @@ func (e *Engine) Locked(fn func()) {
 // new state.
 func (e *Engine) Invalidate() { e.gen.Add(1) }
 
-// Reset discards all buffered accesses without applying them, zeroes the
-// kind counters, drops every cursor cache, and re-enables recording.
-// Buffers created before the reset re-sync their cursors via the
-// generation bump on their next drain.
+// Reset discards all accesses buffered in the shared slots without
+// applying them, zeroes the kind counters, drops every cursor cache, and
+// re-enables recording. Buffer batches already handed off are not
+// buffered any more: Reset waits until they have applied. Buffers created
+// before the reset re-sync their cursors via the generation bump on their
+// next drain.
 func (e *Engine) Reset() {
 	// Serialize against sweeps so a concurrent Flush cannot interleave
 	// drained and discarded slots. dirty stays as-is: a Record racing the
 	// reset may land in an already-cleared slot, and its mark must survive.
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
+	e.wait()
 	for i := range e.slots {
 		s := &e.slots[i]
 		for !s.tryLock() {
@@ -593,11 +642,12 @@ func (e *Engine) Counts() Counts {
 
 // Buffer is a single-owner access buffer draining into the same engine:
 // the lock-free hot path used by goroutine-scoped recording (xplrt's
-// DeviceScope). Record and Flush must be called by one goroutine at a
-// time; the engine-side apply is synchronized like any slot sweep. A
-// Buffer needs no sequence stamps: its records apply as one batch in
-// append order, and its interleaving with the shared Record stream is
-// ordered at flush boundaries only (guarantee 3).
+// DeviceScope, the simulator's kernels). Record and Flush must be called
+// by one goroutine at a time. A full buffer hands its batch to the
+// engine's apply goroutine; Flush applies the rest inline. A Buffer needs
+// no sequence stamps: its batches apply in append order, and its
+// interleaving with the shared Record stream is ordered at handoff and
+// flush boundaries only (guarantee 3).
 type Buffer struct {
 	e   *Engine
 	buf []shadow.Access
@@ -619,9 +669,9 @@ type Buffer struct {
 // NewBuffer returns an empty buffer owned by the caller.
 func (e *Engine) NewBuffer() *Buffer { return &Buffer{e: e} }
 
-// Record appends one access with no locking, draining if the buffer
-// filled. An access that contiguously continues the previous record's
-// sweep coalesces into it (see Buffer.next).
+// Record appends one access with no locking, handing the batch off if
+// the buffer filled. An access that contiguously continues the previous
+// record's sweep coalesces into it (see Buffer.next).
 func (b *Buffer) Record(dev machine.Device, addr memsim.Addr, size int64, kind memsim.AccessKind) {
 	if b.e.disabled.Load() {
 		return
@@ -652,7 +702,7 @@ func (b *Buffer) Record(dev machine.Device, addr memsim.Addr, size int64, kind m
 	b.buf = appendScalar(b.buf, dev, addr, size, kind)
 	b.next = addr + memsim.Addr(size)
 	if len(b.buf) >= bufferCap {
-		b.Flush()
+		b.handOff()
 	}
 }
 
@@ -686,22 +736,39 @@ func (b *Buffer) RecordRange(dev machine.Device, base memsim.Addr, count int, st
 		b.buf = append(b.buf, shadow.Access{Dev: dev, Kind: kind, Addr: base, Size: clampSize(size), Count: int32(run), Stride: int32(stride)})
 		b.next = base + memsim.Addr(int64(run)*stride)
 		if len(b.buf) >= bufferCap {
-			b.Flush()
+			b.handOff()
 		}
 		count -= run
 		base += memsim.Addr(int64(run) * stride)
 	}
 }
 
-// Flush drains the buffer into the sinks. The shared slots drain first
-// (ordering guarantee 3): accesses recorded through Engine.Record before
-// this buffer's must reach the sinks before the buffer's batch, or
-// per-word ordering would invert.
+// handOff passes the full buffer to the engine's apply goroutine and
+// carries on in a spare slice. The shared slots drain first, as for
+// Flush (ordering guarantee 3), but without Flush's unconditional
+// barrier: the owner waits for earlier batches only when there are slot
+// records to apply after them.
+func (b *Buffer) handOff() {
+	if !b.cnt.empty() {
+		b.cnt.mergeInto(b.e)
+	}
+	b.e.sweepDirty()
+	b.buf = b.e.handOff(b.buf, &b.cur)
+}
+
+// Flush drains the buffer into the sinks and returns once they have seen
+// everything it recorded, handed-off batches included. The shared slots
+// drain first (ordering guarantee 3): accesses recorded through
+// Engine.Record before this buffer's must reach the sinks before the
+// buffer's batch, or per-word ordering would invert. The remainder
+// applies inline, on the caller's goroutine, so clock-driven sinks read
+// the clock at the flush point.
 func (b *Buffer) Flush() {
 	if !b.cnt.empty() {
 		b.cnt.mergeInto(b.e)
 	}
 	if len(b.buf) == 0 {
+		b.e.wait()
 		return
 	}
 	b.e.Flush()

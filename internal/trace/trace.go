@@ -15,9 +15,13 @@
 // TraceAccess callers record into the engine's per-P slots; simulated
 // kernels record through a single-owner record.Buffer the tracer hands the
 // context (cuda.BufferedTracer), which the context drains when the kernel
-// body returns. Flush ordering (why a transfer's bulk access lands after
-// every buffered element access, and what concurrent TraceAccess callers
-// may assume) is documented once, in package record.
+// body returns. A kernel that fills the buffer mid-body hands each full
+// batch to the engine's apply goroutine, so the sinks run alongside the
+// body; every wrapper below that inspects or mutates sink state goes
+// through Flush or Locked, which wait for those batches first. Flush
+// ordering (why a transfer's bulk access lands after every buffered
+// element access, and what concurrent TraceAccess callers may assume) is
+// documented once, in package record.
 package trace
 
 import (
@@ -199,8 +203,10 @@ func (t *Tracer) TraceAccessRange(dev machine.Device, _ *memsim.Alloc, addr mems
 
 // NewKernelRecorder implements cuda.BufferedTracer: a single-owner
 // record.Buffer on the tracer's engine. A kernel body appends to it with
-// no slot lock, sequence stamp or drain merge, and its drain flushes the
-// shared slots first (ordering guarantee 3 of package record).
+// no slot lock, sequence stamp or drain merge; each full batch applies on
+// the engine's apply goroutine while the body goes on, and the end-of-body
+// Flush waits for them. Its drains flush the shared slots first (ordering
+// guarantee 3 of package record).
 func (t *Tracer) NewKernelRecorder() cuda.KernelRecorder { return t.eng.NewBuffer() }
 
 // TraceTransfer implements cuda.Tracer: host-to-device copies are recorded

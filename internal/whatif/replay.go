@@ -151,7 +151,9 @@ func (r *replayer) allocEvent(ev *timeline.Event) error {
 	} else {
 		place = um.PlaceObserved
 	}
-	a, err := r.space.Alloc(ev.Bytes, rkind, ev.Alloc)
+	// Replay prices accesses by address only: reserve the range without
+	// backing bytes.
+	a, err := r.space.Reserve(ev.Bytes, rkind, ev.Alloc)
 	if err != nil {
 		return err
 	}

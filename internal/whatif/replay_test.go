@@ -1,6 +1,7 @@
 package whatif_test
 
 import (
+	"runtime"
 	"testing"
 
 	"xplacer/internal/apps/rodinia"
@@ -115,5 +116,29 @@ func TestReplayWithoutCaptureErrors(t *testing.T) {
 	}
 	if _, err := whatif.Replay(events, plat, nil); err == nil {
 		t.Fatal("replay of capture-less trace succeeded; want error")
+	}
+}
+
+// TestReplayAllocatesNoBackingData pins that replay reserves address
+// ranges without backing bytes: replaying a 1 GiB allocation must not
+// allocate anything near its size.
+func TestReplayAllocatesNoBackingData(t *testing.T) {
+	const size = 1 << 30
+	events := []timeline.Event{
+		{Kind: timeline.KindAlloc, Name: "malloc", Track: timeline.HostTrack, Alloc: "big", AllocID: 0, Bytes: size},
+		{Kind: timeline.KindFree, Name: "free", Track: timeline.HostTrack, Alloc: "big", AllocID: 0, Bytes: size},
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out, err := whatif.Replay(events, machine.IntelPascal(), nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if out.HostEnd <= 0 {
+		t.Errorf("replayed host end %s, want the alloc and free overheads", out.HostEnd)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("replaying a %d-byte allocation allocated %d bytes", size, grew)
 	}
 }

@@ -206,10 +206,13 @@ func SetOptions(opt detect.Options) {
 // CPU and the GPU at the same time.
 //
 // A scope also carries a private engine Buffer, so the ScopeR/W/RW hot
-// path appends with no locking at all. The buffer drains into the shadow
-// table when it fills, at OnDevice return, and on Flush. A scope belongs
-// to the goroutine using it — create one scope per goroutine (nested
-// OnDevice calls are fine) instead of sharing one across goroutines.
+// path appends with no locking at all. When the buffer fills, its batch
+// goes to the engine's apply goroutine and the scope keeps recording; the
+// rest drains into the shadow table at OnDevice return and on Flush,
+// which also wait until the scope's earlier batches have applied. A
+// scope belongs to the goroutine using it — create one scope per
+// goroutine (nested OnDevice calls are fine) instead of sharing one
+// across goroutines.
 // Interleaving a live scope's accesses with scope-less TraceR/W/RW
 // accesses to the same words is ordered only at flush boundaries.
 type DeviceScope struct {
